@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import EvaluationError
+
 __all__ = ["Dual", "seed", "sin", "cos", "exp", "log", "sqrt"]
 
 
@@ -87,11 +89,23 @@ def seed(theta):
 
 def _lift(fn, dfn):
     def wrapped(x):
-        if isinstance(x, Dual):
-            return Dual(fn(x.value), dfn(x.value) * x.grad)
-        return fn(x)
+        try:
+            if isinstance(x, Dual):
+                return Dual(fn(x.value), dfn(x.value) * x.grad)
+            return fn(x)
+        except (ArithmeticError, ValueError) as exc:
+            value = float(getattr(x, "value", x))
+            raise EvaluationError(f"{fn.__name__}({value!r}): {exc}") from exc
 
     return wrapped
+
+
+def div(a, b):
+    """``a / b`` on floats or Duals; division by zero is an EvaluationError."""
+    try:
+        return a / b
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"division by zero: {exc}") from exc
 
 
 sin = _lift(math.sin, math.cos)

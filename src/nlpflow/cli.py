@@ -23,7 +23,7 @@ from .monitor import ToleranceSet
 from .problemfile import parse_problem
 from .problems import builtin, builtin_names
 
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 
 def _fmt(x):
@@ -125,6 +125,7 @@ def _summary(problem, traj, config_echo, seed, wall_time):
             "sign_violation": final.report.sign_violation,
         },
         "step_count": traj.step_count,
+        "rejected_count": traj.rejected_count,
         "rhs_eval_count": traj.rhs_eval_count,
         "initial_lp_gamma": traj.initial_lp_gamma,
         "wall_time_s": wall_time,
@@ -139,11 +140,24 @@ def _summary(problem, traj, config_echo, seed, wall_time):
     return out
 
 
-def _run_once(problem, theta0, gains, config, tols, pts_groups):
-    start = time.perf_counter()
-    traj = solve(problem, theta0, gains, integrator=config, tolerances=tols,
-                 pts_groups=pts_groups)
-    return traj, time.perf_counter() - start
+def _setup(args):
+    """The problem, its start points and a timed solve from the run options."""
+    problem = _load_problem(args.problem, args.size)
+    points = _initial_points(args, problem, np.random.default_rng(args.seed))
+    gains = _gains(args, problem)
+    config = IntegratorConfig(method=args.method, rel_tol=args.rel_tol,
+                              abs_tol=args.abs_tol, t_end=args.t_end,
+                              fixed_horizon=args.fixed_horizon)
+    tols = ToleranceSet(stationarity=args.stationarity_tol)
+    pts_groups = _parse_pts(args.pts, problem.r) if args.pts else None
+
+    def run_once(theta0):
+        start = time.perf_counter()
+        traj = solve(problem, theta0, gains, integrator=config, tolerances=tols,
+                     pts_groups=pts_groups)
+        return traj, time.perf_counter() - start
+
+    return problem, points, run_once
 
 
 def _config_echo(args, theta0):
@@ -155,16 +169,9 @@ def _config_echo(args, theta0):
 
 
 def cmd_run(args):
-    problem = _load_problem(args.problem, args.size)
-    rng = np.random.default_rng(args.seed)
-    theta0 = _initial_points(args, problem, rng)[0]
-    gains = _gains(args, problem)
-    config = IntegratorConfig(method=args.method, rel_tol=args.rel_tol,
-                              abs_tol=args.abs_tol, t_end=args.t_end,
-                              fixed_horizon=args.fixed_horizon)
-    tols = ToleranceSet(stationarity=args.stationarity_tol)
-    pts_groups = _parse_pts(args.pts, problem.r) if args.pts else None
-    traj, wall = _run_once(problem, theta0, gains, config, tols, pts_groups)
+    problem, points, run_once = _setup(args)
+    theta0 = points[0]
+    traj, wall = run_once(theta0)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,21 +187,12 @@ def cmd_run(args):
 
 
 def cmd_multistart(args):
-    problem = _load_problem(args.problem, args.size)
-    rng = np.random.default_rng(args.seed)
-    points = _initial_points(args, problem, rng)
-    gains = _gains(args, problem)
-    config = IntegratorConfig(method=args.method, rel_tol=args.rel_tol,
-                              abs_tol=args.abs_tol, t_end=args.t_end,
-                              fixed_horizon=args.fixed_horizon)
-    tols = ToleranceSet(stationarity=args.stationarity_tol)
-    pts_groups = _parse_pts(args.pts, problem.r) if args.pts else None
-
+    problem, points, run_once = _setup(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, theta0 in enumerate(points):
-        traj, wall = _run_once(problem, theta0, gains, config, tols, pts_groups)
+        traj, wall = run_once(theta0)
         _write_trajectory(out_dir / f"run_{k:02d}_trajectory.csv", problem, traj)
         summary = _summary(problem, traj, _config_echo(args, theta0), args.seed, wall)
         (out_dir / f"run_{k:02d}_summary.json").write_text(

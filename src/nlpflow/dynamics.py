@@ -141,7 +141,6 @@ class RhsResult:
     pi_i: np.ndarray
     working_set: WorkingSet
     stacked_jacobian_rank: int
-    lp_gamma: float | None = None
 
 
 def classify(point, eps_act, pts=None, warm=()):
@@ -159,10 +158,9 @@ def classify(point, eps_act, pts=None, warm=()):
     return WorkingSet(activated=activated, working=working, pts_enabled=pts.enabled)
 
 
-def _assemble(point, gains, working, include_targets, multiplier_bound,
-              rank_multiplier, lp_gamma=None, working_set=None):
+def _assemble(point, gains, ws, include_targets, multiplier_bound, rank_multiplier):
     s = point.h.size
-    working = sorted(working)
+    working = sorted(ws.working)
     if working:
         hbar = np.vstack([point.h_jac, point.g_jac[working]])
     else:
@@ -180,8 +178,8 @@ def _assemble(point, gains, working, include_targets, multiplier_bound,
             targets = np.concatenate([gains.k_h @ point.h if s else np.zeros(0),
                                       gains.k_g[working] * point.g[working]])
             b = b - targets
-        gram_pinv, rank = pinv_gram(gram, rank_multiplier)
-        pi = -(gram_pinv @ b)
+        sol, rank = pinv_gram(gram, b, rank_multiplier)
+        pi = -sol
         dtheta = -gains.k_theta @ (point.f_grad + hbar.T @ pi)
     if not np.all(np.isfinite(dtheta)) or not np.all(np.isfinite(pi)):
         raise InvalidInputError("flow right-hand side produced non-finite values")
@@ -192,19 +190,15 @@ def _assemble(point, gains, working, include_targets, multiplier_bound,
     pi_i = np.zeros(point.g.size)
     if working:
         pi_i[working] = pi[s:]
-    if working_set is None:
-        working_set = WorkingSet(activated=tuple(working), working=tuple(working))
     return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i,
-                     working_set=working_set, stacked_jacobian_rank=rank,
-                     lp_gamma=lp_gamma)
+                     working_set=ws, stacked_jacobian_rank=rank)
 
 
 def rhs_feasible(point, gains, ws, multiplier_bound=1e6, rank_multiplier=1.0):
     """Flow direction for a feasible point: descend while staying tangent to
     the equalities and the working inequalities."""
-    return _assemble(point, gains, ws.working, include_targets=False,
-                     multiplier_bound=multiplier_bound,
-                     rank_multiplier=rank_multiplier, working_set=ws)
+    return _assemble(point, gains, ws, include_targets=False,
+                     multiplier_bound=multiplier_bound, rank_multiplier=rank_multiplier)
 
 
 def rhs_general(point, gains, ws, multiplier_bound=1e6, rank_multiplier=1.0):
@@ -214,14 +208,12 @@ def rhs_general(point, gains, ws, multiplier_bound=1e6, rank_multiplier=1.0):
     subspace when the stacked Jacobian is rank deficient) and each working
     inequality follows dg_i/dtau = -k_g[i] g_i.
     """
-    return _assemble(point, gains, ws.working, include_targets=True,
-                     multiplier_bound=multiplier_bound,
-                     rank_multiplier=rank_multiplier, working_set=ws)
+    return _assemble(point, gains, ws, include_targets=True,
+                     multiplier_bound=multiplier_bound, rank_multiplier=rank_multiplier)
 
 
 def resolve_working_set(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8,
-                        multiplier_bound=1e6, rank_multiplier=1.0,
-                        lp_box=None):
+                        multiplier_bound=1e6, rank_multiplier=1.0):
     """Active-set loop settling the working subset.
 
     Iterates: compute the direction treating the working set as equalities;
@@ -263,13 +255,9 @@ def resolve_working_set(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8,
 
     lp_gamma = None
     if point.h.size + len(activated) > 0:
-        box = lp_box if lp_box is not None else 10.0 * (1.0 + np.linalg.norm(res.dtheta))
-        try:
-            lp = feasibility_lp(point, gains, box, activated)
-            lp_gamma = lp.gamma
-        except InfeasibleSubproblemError:
-            raise
-        if lp_gamma is not None and lp_gamma > dyn_tol:
+        box = 10.0 * (1.0 + np.linalg.norm(res.dtheta))
+        lp_gamma = feasibility_lp(point, gains, box, activated).gamma
+        if lp_gamma > dyn_tol:
             raise InfeasibleSubproblemError(
                 "no direction satisfies the required constraint dynamics "
                 f"(gamma = {lp_gamma:.3e})", lp_gamma=lp_gamma)

@@ -145,8 +145,8 @@ def fd_jacobian(rhs, y, f0=None, rel_step=1e-7):
 
 def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
     """One L-stable Rosenbrock 4(3) step.  Same return convention and
-    acceptance test as step_rk45.  ``jac`` may be reused across rejected
-    attempts at the same point."""
+    acceptance test as step_rk45.  ``jac`` and ``f0`` may be reused across
+    rejected attempts at the same point."""
     if jac is None:
         jac = fd_jacobian(rhs, y, f0)
     n = y.size
@@ -190,14 +190,15 @@ def integrate_ode(rhs, y0, config, callback=None):
     h = min(config.initial_step(), config.max_step(), config.t_end)
     stiff = config.method == "stiff"
     accepted = rejected = 0
-    jac = None
+    jac = f0 = None
     while t < config.t_end and accepted + rejected < config.max_steps:
         h = min(h, config.t_end - t)
         if stiff:
             if jac is None:
-                jac = fd_jacobian(rhs, y)
+                f0 = rhs(y)
+                jac = fd_jacobian(rhs, y, f0)
             y_new, err_norm, h_next = step_stiff(
-                rhs, y, h, config.rel_tol, config.abs_tol, jac=jac)
+                rhs, y, h, config.rel_tol, config.abs_tol, jac=jac, f0=f0)
         else:
             y_new, err_norm, h_next = step_rk45(
                 rhs, y, h, config.rel_tol, config.abs_tol)
@@ -245,6 +246,7 @@ class Trajectory:
     rhs_eval_count: int = 0
     error: Exception | None = None
     initial_lp_gamma: float | None = None
+    rejected_count: int = 0
 
     @property
     def final(self):
@@ -345,6 +347,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
             return False
 
         result = integrate_ode(rhs, theta0, config, callback=on_accept)
+        traj.rejected_count = result.rejected
         if pending[0] is not None:
             traj.samples.append(pending[0])
         if traj.verdict == "continue":
@@ -353,8 +356,6 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
                 traj.verdict = ("converged"
                                 if tols.satisfied_by(last.report) and not config.fixed_horizon
                                 else "horizon-reached")
-                if config.fixed_horizon:
-                    traj.verdict = "horizon-reached"
             else:
                 traj.verdict = "error:max-steps"
     except NlpflowError as exc:

@@ -3,6 +3,12 @@
 All routines validate finiteness on entry and are pure functions of their
 inputs, so they are safe to call concurrently.  Matrices are plain 2-D numpy
 arrays of float64; vectors are 1-D arrays.
+
+One rank convention (``rank_cutoff``) holds throughout.  ``pinv_gram``
+applies it to the eigenvalues of an m-row Gram matrix G = A K A^T: those
+<= m * eps * lambda_max count as zero, i.e. singular values of A below
+sqrt(m * eps) * sigma_max.  Its Cholesky branch runs only when certified
+above that cutoff.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import InvalidInputError, NumericFailureError
 
@@ -39,7 +46,8 @@ def rank_cutoff(shape, sigma_max, multiplier=1.0):
     """Singular values at or below this threshold count as zero.
 
     Standard numerical-rank convention: max(rows, cols) * sigma_max * eps,
-    scaled by a configurable multiplier.
+    scaled by a configurable multiplier.  Applied to the eigenvalues of an
+    m x m Gram A K A^T it drops singular values of A below sqrt(m * eps).
     """
     return max(shape) * sigma_max * np.finfo(float).eps * multiplier
 
@@ -92,24 +100,29 @@ def pinv(m, rank_multiplier=1.0):
     return svd(m, rank_multiplier).pinv()
 
 
-def pinv_gram(g, rank_multiplier=1.0):
-    """Pseudo-inverse of a symmetric PSD Gram matrix via eigendecomposition.
+def pinv_gram(g, rhs, rank_multiplier=1.0):
+    """``(G+ @ rhs, rank)`` for a symmetric PSD Gram matrix G.
 
-    For symmetric PSD input the eigendecomposition coincides with the SVD;
-    this path is noticeably faster for the per-step multiplier solves.
+    Cholesky solves when dpocon's reciprocal 1-norm condition estimate beats
+    the cutoff ratio m * eps * rank_multiplier by a factor 1e3 * m (which
+    covers the 1-norm/2-norm gap and the estimator's slack), so every
+    eigenvalue would be kept.  Otherwise ``eigh`` forms G+ and sets the rank.
     """
     a = as_matrix(g, "gram matrix")
+    a = 0.5 * (a + a.T)
+    m = a.shape[0]
+    chol, info = dpotrf(a)
+    if info == 0:
+        rcond, _ = dpocon(chol, np.abs(a).sum(axis=0).max())
+        if rcond > 1e3 * m * rank_cutoff(a.shape, 1.0, rank_multiplier):
+            return dpotrs(chol, rhs)[0], m
     try:
-        w, q = np.linalg.eigh(0.5 * (a + a.T))
+        w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    wmax = abs(w[-1]) if w.size else 0.0
-    tol = rank_cutoff(a.shape, wmax, rank_multiplier)
-    keep = w > tol
-    if not np.any(keep):
-        return np.zeros_like(a), 0
+    keep = w > rank_cutoff(a.shape, abs(w[-1]), rank_multiplier)
     qk = q[:, keep]
-    return (qk / w[keep]) @ qk.T, int(np.sum(keep))
+    return ((qk / w[keep]) @ qk.T) @ rhs, int(np.sum(keep))
 
 
 def projector_col(m, rank_multiplier=1.0):

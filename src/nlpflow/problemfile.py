@@ -77,7 +77,7 @@ class _Bin(_Node):
         "+": lambda a, b: a + b,
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b,
+        "/": autodiff.div,
     }
 
     def __init__(self, op, left, right):

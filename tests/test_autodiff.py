@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from nlpflow import Dual, seed
+from nlpflow import Dual, EvaluationError, seed
 from nlpflow import autodiff
 
 
@@ -86,3 +87,15 @@ def test_chain_rule_composition():
 def test_repr_mentions_value():
     (x,) = seed([1.5])
     assert "1.5" in repr(x)
+
+
+def test_domain_errors_become_evaluation_errors():
+    (x,) = seed([-1.0])
+    for fn, arg in ((autodiff.log, -1.0), (autodiff.log, x), (autodiff.sqrt, x),
+                    (autodiff.exp, 1e6), (autodiff.sqrt, Dual(0.0, [1.0]))):
+        with pytest.raises(EvaluationError):
+            fn(arg)
+    for a, b in ((1.0, 0.0), (x, 0.0), (1.0, Dual(0.0, [1.0])), (x, Dual(0.0, [1.0]))):
+        with pytest.raises(EvaluationError):
+            autodiff.div(a, b)
+    assert autodiff.div(x, 2.0).value == -0.5

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import nlpflow.cli
 from nlpflow.cli import main
 
 HARD_START = "--theta0=-4.8578,3.8180,-2.7364"
@@ -47,6 +49,8 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert np.allclose(summary["pi_e_final"], [0.35, 0.70], atol=0.01)
     assert summary["seed"] == 7
     assert summary["config"]["theta0"] == [-4.8578, 3.8180, -2.7364]
+    assert summary["schema_version"] == 2
+    assert summary["rejected_count"] > 0
 
 
 def test_run_replay_is_byte_identical(tmp_path):
@@ -126,3 +130,29 @@ def test_gain_matrix_from_file(tmp_path):
                  "--t-end", "30", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert np.allclose(summary["theta_final"], [1.0, 1.0], atol=1e-4)
+
+
+def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a trial stage of the default rk45 stepper leaves the domain of log
+    src = tmp_path / "log_edge.nlp"
+    src.write_text("var 1\nmin log(x1)\nineq 0.05 - x1\n")
+    calls = [0]
+    parse = nlpflow.cli.parse_problem
+
+    def counted_parse(*args, **kwargs):
+        problem = parse(*args, **kwargs)
+
+        def derivatives(theta):
+            calls[0] += 1
+            return problem.derivatives(theta)
+
+        return dataclasses.replace(problem, derivatives=derivatives)
+
+    monkeypatch.setattr(nlpflow.cli, "parse_problem", counted_parse)
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "error:EvaluationError"
+    assert "math domain error" in summary["error_detail"]
+    assert calls[0] == 29

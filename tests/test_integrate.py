@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nlpflow.integrate
 from nlpflow import (
     GainSet,
     IntegratorConfig,
@@ -122,6 +123,19 @@ class TestSteppers:
         assert np.array_equal(a.y, b.y)
         assert (a.accepted, a.rejected) == (b.accepted, b.rejected)
 
+    def test_stiff_evaluates_each_base_point_once(self):
+        # the Jacobian and stage 0 of every attempt share one evaluation
+        y0 = np.array([0.0, 0.0])
+        seen = []
+
+        def rhs(y):
+            seen.append(y.tobytes())
+            return np.array([1.0, -1000.0 * (y[1] - math.cos(y[0]))])
+
+        res = integrate_ode(rhs, y0, IntegratorConfig(method="stiff", t_end=1.0, h_init=0.1))
+        assert res.rejected > 0
+        assert seen.count(y0.tobytes()) == 1
+
     def test_step_underflow_suggests_stiff_method(self):
         cfg = IntegratorConfig(method="rk45", t_end=1.0)
         with np.errstate(all="ignore"), pytest.raises(StepFailureError, match="stiff"):
@@ -214,3 +228,21 @@ class TestSolve:
             assert sa.tau == sb.tau
             assert np.array_equal(sa.theta, sb.theta)
             assert np.array_equal(sa.pi_i, sb.pi_i)
+
+    def test_rejected_steps_are_reported(self, monkeypatch):
+        attempts = [0]
+        step = nlpflow.integrate.step_rk45
+
+        def counted(*args, **kwargs):
+            attempts[0] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(nlpflow.integrate, "step_rk45", counted)
+        p = builtin("example1")
+        gains = GainSet.uniform(3, 2, 5)
+        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
+                     integrator=IntegratorConfig(t_end=300.0),
+                     pts_groups=[(0, 1, 2), (3, 4)])
+        assert traj.verdict == "converged"
+        assert traj.rejected_count > 0
+        assert attempts[0] == traj.step_count + traj.rejected_count

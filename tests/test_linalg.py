@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nlpflow import InvalidInputError
+from nlpflow import InvalidInputError, builtin, evaluate
 from nlpflow.linalg import (
     pinv,
     pinv_gram,
     projector_col,
     projector_row,
+    rank_cutoff,
     sqrt_spd,
     svd,
 )
+
+EPS = np.finfo(float).eps
 
 RT10 = np.sqrt(10.0)
 
@@ -112,9 +117,63 @@ class TestPinv:
             m, k = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             a = rng.standard_normal((m, k))
             gram = a @ a.T
-            via_eigh, rank = pinv_gram(gram)
-            assert np.abs(via_eigh - pinv(gram)).max() <= 1e-8
+            via_gram, rank = pinv_gram(gram, np.eye(m))
+            assert np.abs(via_gram - pinv(gram)).max() <= 1e-8
             assert rank == np.linalg.matrix_rank(gram)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 12), log_ratio=st.floats(-17.5, -2.0),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_pinv_gram_planted_spectrum(self, m, log_ratio, log_scale, seed):
+        """Spectra from lambda_min/lambda_max = 1e-2 * m * eps up to 1e-2
+        straddle the rank cutoff m * eps * lambda_max."""
+        assume(log_ratio >= np.log10(1e-2 * m * EPS))
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = 10.0 ** rng.uniform(log_ratio, 0.0, m)
+        lam[:2] = 1.0, 10.0 ** log_ratio
+        gram = (q * (10.0 ** log_scale * lam)) @ q.T
+        rhs = rng.standard_normal(m)
+        w = np.linalg.eigvalsh(gram)
+        cutoff = rank_cutoff(gram.shape, w[-1])
+        # eigenvalue solvers disagree by a few eps * lambda_max; keep clear of the cutoff
+        assume(not np.any((w > cutoff / 8) & (w < 8 * cutoff)))
+        sol, rank = pinv_gram(gram, rhs)
+        assert rank == int(np.sum(w > cutoff))
+        ref = pinv(gram) @ rhs
+        kept = w[w > cutoff]
+        cond = kept[-1] / kept[0]
+        assert np.linalg.norm(sol - ref) <= 10 * m * EPS * cond * np.linalg.norm(rhs) / kept[0]
+
+    def test_pinv_gram_branches(self, monkeypatch):
+        """Full-rank Grams are solved by Cholesky; rank-deficient ones by eigh."""
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        n = 100
+        chain = builtin("example2", size=n)
+        theta = np.random.default_rng(0).uniform(0.7, 1.2, size=n)
+        theta[0] = 2.0
+        point = evaluate(chain, theta)
+        gram = 0.1 * point.h_jac @ point.h_jac.T
+        rhs = 0.1 * point.h_jac @ point.f_grad
+        sol, rank = pinv_gram(gram, rhs)
+        assert calls[0] == 0
+        assert rank == n - 1
+        assert np.linalg.norm(gram @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+        product = builtin("example1")
+        point = evaluate(product, np.array([-4.8578, 3.8180, -2.7364]))
+        gram = 0.1 * point.h_jac @ point.h_jac.T
+        sol, rank = pinv_gram(gram, np.array([1.0, 2.0]))
+        assert calls[0] == 1
+        assert rank == 1
+        assert np.allclose(sol, pinv(gram) @ [1.0, 2.0], rtol=1e-12)
 
 
 class TestProjectors:

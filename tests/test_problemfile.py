@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import ProblemParseError, builtin, evaluate, parse_problem, serialize_problem
+from nlpflow import (
+    EvaluationError,
+    ProblemParseError,
+    builtin,
+    evaluate,
+    parse_problem,
+    serialize_problem,
+)
 
 EC_QUADRATIC_TEXT = """\
 # equality-constrained quadratic
@@ -126,3 +133,13 @@ def test_round_trip():
 def test_serialize_requires_parsed_problem():
     with pytest.raises(ProblemParseError):
         serialize_problem(builtin("ec-quadratic"))
+
+
+@pytest.mark.parametrize("text", ["var 1\nmin log(x1 - 1)", "var 1\nmin x1\nineq sqrt(x1)",
+                                  # finite value 0, but the dual pass divides by zero
+                                  "var 1\nmin exp(-1 / x1^2)"])
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_domain_errors_raise_evaluation_error(text):
+    problem = parse_problem(text, validate=False)
+    with pytest.raises(EvaluationError):
+        evaluate(problem, np.zeros(1))
