@@ -15,78 +15,13 @@ below tolerance.
 
 __version__ = "0.1.0"
 
-from .autodiff import Dual, seed
-from .dynamics import (
-    GainSet,
-    MultiplierBoundWarning,
-    PtsState,
-    RhsResult,
-    WorkingSet,
-    classify,
-    feasibility_lp,
-    pts_update,
-    resolve_working_set,
-    rhs_feasible,
-    rhs_general,
-)
-from .errors import (
-    CyclingError,
-    EvaluationError,
-    InfeasibleSubproblemError,
-    InvalidInputError,
-    NlpflowError,
-    NumericFailureError,
-    ProblemParseError,
-    StepFailureError,
-    UnknownProblemError,
-)
-from .integrate import (
-    FlowState,
-    IntegratorConfig,
-    OdeResult,
-    Trajectory,
-    fd_jacobian,
-    integrate_ode,
-    solve,
-    step_rk45,
-    step_stiff,
-)
-from .linalg import (
-    PinvFactorization,
-    pinv,
-    pinv_gram,
-    projector_col,
-    projector_row,
-    sqrt_spd,
-    svd,
-)
-from .monitor import KktReport, ToleranceSet, decide, kkt_report, lyapunov_value
+from .dynamics import GainSet
+from .integrate import IntegratorConfig, integrate_ode, solve
 from .problemfile import parse_problem, serialize_problem
-from .problems import (
-    EvalPoint,
-    NlpProblem,
-    builtin,
-    builtin_names,
-    check_derivatives,
-    evaluate,
-    finite_difference_derivatives,
-)
+from .problems import builtin
 
 __all__ = [
     "__version__",
-    "Dual", "seed",
-    "GainSet", "MultiplierBoundWarning", "PtsState", "RhsResult", "WorkingSet",
-    "classify", "feasibility_lp", "pts_update", "resolve_working_set",
-    "rhs_feasible", "rhs_general",
-    "CyclingError", "EvaluationError", "InfeasibleSubproblemError",
-    "InvalidInputError", "NlpflowError", "NumericFailureError",
-    "ProblemParseError", "StepFailureError", "UnknownProblemError",
-    "FlowState", "IntegratorConfig", "OdeResult", "Trajectory",
-    "fd_jacobian", "integrate_ode", "solve", "step_rk45", "step_stiff",
-    "PinvFactorization", "pinv", "pinv_gram", "projector_col",
-    "projector_row", "sqrt_spd", "svd",
-    "KktReport", "ToleranceSet", "decide", "kkt_report", "lyapunov_value",
-    "parse_problem", "serialize_problem",
-    "EvalPoint", "NlpProblem", "builtin", "builtin_names",
-    "check_derivatives", "evaluate", "finite_difference_derivatives",
+    "GainSet", "IntegratorConfig", "builtin", "integrate_ode",
+    "parse_problem", "serialize_problem", "solve",
 ]

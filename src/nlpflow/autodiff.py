@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["Dual", "seed", "sin", "cos", "exp", "log", "sqrt"]
-
 
 class Dual:
     __slots__ = ("value", "grad")
@@ -75,7 +73,10 @@ class Dual:
         p = float(exponent)
         if p == 0.0:
             return Dual(1.0, np.zeros_like(self.grad))
-        base = self.value ** (p - 1.0)
+        try:
+            base = self.value ** (p - 1.0)
+        except ZeroDivisionError as exc:
+            raise EvaluationError(f"{self.value!r} ** {p!r}: {exc}") from exc
         return Dual(base * self.value, p * base * self.grad)
 
 

@@ -22,15 +22,15 @@ from scipy.optimize import linprog
 from .errors import CyclingError, InfeasibleSubproblemError, InvalidInputError
 from .linalg import pinv_gram, rank_cutoff
 
-__all__ = [
-    "GainSet", "PtsState", "WorkingSet", "RhsResult", "LpResult",
-    "classify", "pts_update", "rhs_feasible", "rhs_general",
-    "resolve_working_set", "feasibility_lp", "MultiplierBoundWarning",
-]
+# a working multiplier below -_SIGN_TOL leaves the working set; an activated
+# row whose decay residual dg_i/dtau + k_g[i] g_i exceeds _DYN_TOL joins it
+_SIGN_TOL = 1e-9
+_DYN_TOL = 1e-8
+_MULTIPLIER_BOUND = 1e6
 
 
 class MultiplierBoundWarning(RuntimeWarning):
-    """Multiplier norm exceeded its configured bound; the flow continues."""
+    """Multiplier norm exceeded _MULTIPLIER_BOUND; the flow continues."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ class WorkingSet:
 
     activated: tuple
     working: tuple
-    pts_enabled: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "activated", tuple(sorted(set(self.activated))))
@@ -155,10 +154,16 @@ def classify(point, eps_act, pts=None, warm=()):
     enabled = pts.enabled_indices()
     activated = tuple(i for i in enabled if point.g[i] >= -eps_act)
     working = tuple(i for i in warm if i in activated)
-    return WorkingSet(activated=activated, working=working, pts_enabled=pts.enabled)
+    return WorkingSet(activated=activated, working=working)
 
 
-def _assemble(point, gains, ws, include_targets, multiplier_bound, rank_multiplier):
+def rhs_general(point, gains, ws):
+    """Flow direction valid anywhere: violations decay at first order.
+
+    Equality values follow dh/dtau = -K_h h (projected onto the achievable
+    subspace when the stacked Jacobian is rank deficient) and each working
+    inequality follows dg_i/dtau = -k_g[i] g_i.
+    """
     s = point.h.size
     working = sorted(ws.working)
     if working:
@@ -173,20 +178,17 @@ def _assemble(point, gains, ws, include_targets, multiplier_bound, rank_multipli
     else:
         hk = hbar @ gains.k_theta
         gram = hk @ hbar.T
-        b = hk @ point.f_grad
-        if include_targets:
-            targets = np.concatenate([gains.k_h @ point.h if s else np.zeros(0),
-                                      gains.k_g[working] * point.g[working]])
-            b = b - targets
-        sol, rank = pinv_gram(gram, b, rank_multiplier)
+        targets = np.concatenate([gains.k_h @ point.h if s else np.zeros(0),
+                                  gains.k_g[working] * point.g[working]])
+        sol, rank = pinv_gram(gram, hk @ point.f_grad - targets)
         pi = -sol
         dtheta = -gains.k_theta @ (point.f_grad + hbar.T @ pi)
     if not np.all(np.isfinite(dtheta)) or not np.all(np.isfinite(pi)):
         raise InvalidInputError("flow right-hand side produced non-finite values")
-    if pi.size and np.linalg.norm(pi) > multiplier_bound:
+    if pi.size and np.linalg.norm(pi) > _MULTIPLIER_BOUND:
         warnings.warn(
             f"multiplier norm {np.linalg.norm(pi):.3e} exceeds bound "
-            f"{multiplier_bound:.1e}", MultiplierBoundWarning, stacklevel=3)
+            f"{_MULTIPLIER_BOUND:.1e}", MultiplierBoundWarning, stacklevel=2)
     pi_i = np.zeros(point.g.size)
     if working:
         pi_i[working] = pi[s:]
@@ -194,32 +196,13 @@ def _assemble(point, gains, ws, include_targets, multiplier_bound, rank_multipli
                      working_set=ws, stacked_jacobian_rank=rank)
 
 
-def rhs_feasible(point, gains, ws, multiplier_bound=1e6, rank_multiplier=1.0):
-    """Flow direction for a feasible point: descend while staying tangent to
-    the equalities and the working inequalities."""
-    return _assemble(point, gains, ws, include_targets=False,
-                     multiplier_bound=multiplier_bound, rank_multiplier=rank_multiplier)
-
-
-def rhs_general(point, gains, ws, multiplier_bound=1e6, rank_multiplier=1.0):
-    """Flow direction valid anywhere: violations decay at first order.
-
-    Equality values follow dh/dtau = -K_h h (projected onto the achievable
-    subspace when the stacked Jacobian is rank deficient) and each working
-    inequality follows dg_i/dtau = -k_g[i] g_i.
-    """
-    return _assemble(point, gains, ws, include_targets=True,
-                     multiplier_bound=multiplier_bound, rank_multiplier=rank_multiplier)
-
-
-def resolve_working_set(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8,
-                        multiplier_bound=1e6, rank_multiplier=1.0):
+def resolve_working_set(point, gains, candidate):
     """Active-set loop settling the working subset.
 
     Iterates: compute the direction treating the working set as equalities;
     drop the most negative working multiplier (a negative multiplier marks
     the constraint inactive); otherwise add the activated index whose
-    required decay dg_i/dtau + k_g[i] g_i <= dyn_tol is worst violated.
+    required decay dg_i/dtau + k_g[i] g_i <= _DYN_TOL is worst violated.
     Ties prefer the smallest index.  Terminates when signs and dynamics are
     simultaneously satisfied.
 
@@ -233,21 +216,20 @@ def resolve_working_set(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8,
     max_iter = 2 * max(1, point.g.size) + 2
     res = None
     for _ in range(max_iter):
-        ws = WorkingSet(activated=tuple(activated), working=tuple(working),
-                        pts_enabled=candidate.pts_enabled)
-        res = rhs_general(point, gains, ws, multiplier_bound, rank_multiplier)
+        ws = WorkingSet(activated=tuple(activated), working=tuple(working))
+        res = rhs_general(point, gains, ws)
         history.append(tuple(working))
         if working:
             mults = res.pi_i[working]
             worst = int(np.argmin(mults))
-            if mults[worst] < -sign_tol:
+            if mults[worst] < -_SIGN_TOL:
                 working.pop(worst)
                 continue
         outside = [i for i in activated if i not in working]
         if outside:
             resid = point.g_jac[outside] @ res.dtheta + gains.k_g[outside] * point.g[outside]
             worst = int(np.argmax(resid))
-            if resid[worst] > dyn_tol:
+            if resid[worst] > _DYN_TOL:
                 working.append(outside[worst])
                 working.sort()
                 continue
@@ -257,7 +239,7 @@ def resolve_working_set(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8,
     if point.h.size + len(activated) > 0:
         box = 10.0 * (1.0 + np.linalg.norm(res.dtheta))
         lp_gamma = feasibility_lp(point, gains, box, activated).gamma
-        if lp_gamma > dyn_tol:
+        if lp_gamma > _DYN_TOL:
             raise InfeasibleSubproblemError(
                 "no direction satisfies the required constraint dynamics "
                 f"(gamma = {lp_gamma:.3e})", lp_gamma=lp_gamma)
@@ -271,7 +253,7 @@ class LpResult(NamedTuple):
     excluded: tuple
 
 
-def feasibility_lp(point, gains, box, activated, rank_multiplier=1.0):
+def feasibility_lp(point, gains, box, activated):
     """Auxiliary LP certifying existence of a direction with the required
     constraint dynamics.
 
@@ -290,8 +272,7 @@ def feasibility_lp(point, gains, box, activated, rank_multiplier=1.0):
         raise InvalidInputError("box bound must be positive")
 
     norms = np.linalg.norm(point.g_jac[activated], axis=1) if activated else np.zeros(0)
-    cutoff = rank_cutoff((max(1, len(activated)), n),
-                         norms.max() if norms.size else 1.0, rank_multiplier)
+    cutoff = rank_cutoff((max(1, len(activated)), n), norms.max() if norms.size else 1.0)
     rows, consts, excluded = [], [], []
     for i, nrm in zip(activated, norms):
         if nrm <= cutoff:

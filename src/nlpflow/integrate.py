@@ -19,17 +19,17 @@ from . import dynamics, monitor
 from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFailureError
 from .problems import evaluate
 
-__all__ = [
-    "IntegratorConfig", "FlowState", "Trajectory",
-    "step_rk45", "step_stiff", "fd_jacobian", "integrate_ode", "solve",
-]
+_H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
+_MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
+_EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepper selection, tolerances, and step-size limits.
 
-    Defaults: ``h_init = 1e-3 * t_end``, ``h_max = t_end / 10``.
+    Defaults: ``h_init = 1e-3 * t_end``, ``h_max = t_end / 10``; steps never
+    fall below ``_H_MIN``.
     ``fixed_horizon`` disables early termination on convergence, matching
     runs that integrate the full horizon for table reproduction.
     """
@@ -39,9 +39,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-6
     t_end: float = 100.0
     h_init: float | None = None
-    h_min: float = 1e-12
     h_max: float | None = None
-    max_steps: int = 100_000
     fixed_horizon: bool = False
 
     def __post_init__(self):
@@ -49,8 +47,8 @@ class IntegratorConfig:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.t_end <= 0:
             raise InvalidInputError("tolerances and t_end must be positive")
-        if self.initial_step() < self.h_min or self.initial_step() > self.max_step():
-            raise InvalidInputError("need h_min <= h_init <= h_max")
+        if self.initial_step() < _H_MIN or self.initial_step() > self.max_step():
+            raise InvalidInputError(f"need {_H_MIN:g} <= h_init <= h_max")
 
     def initial_step(self):
         return 1e-3 * self.t_end if self.h_init is None else self.h_init
@@ -91,13 +89,13 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
     return float(np.max(np.abs(err) / scale))
 
 
-def step_rk45(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6):
+def step_rk45(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, f0=None):
     """One embedded 5(4) step.  Returns (y_new, err_norm, h_next); the step
-    is acceptable when err_norm <= 1."""
-    k = []
-    for row in _DP_A:
-        yi = y + h * sum(a * ki for a, ki in zip(row, k)) if row else y
-        k.append(rhs(yi))
+    is acceptable when err_norm <= 1.  ``f0 = rhs(y)``, the first stage, may
+    be reused across rejected attempts at the same point."""
+    k = [rhs(y) if f0 is None else f0]
+    for row in _DP_A[1:]:
+        k.append(rhs(y + h * sum(a * ki for a, ki in zip(row, k))))
     y_new = y + h * sum(b * ki for b, ki in zip(_DP_B, k) if b)
     err = h * sum(e * ki for e, ki in zip(_DP_E, k) if e)
     err_norm = _error_norm(err, y, y_new, rel_tol, abs_tol)
@@ -147,6 +145,7 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
     """One L-stable Rosenbrock 4(3) step.  Same return convention and
     acceptance test as step_rk45.  ``jac`` and ``f0`` may be reused across
     rejected attempts at the same point."""
+    f0 = rhs(y) if f0 is None else f0
     if jac is None:
         jac = fd_jacobian(rhs, y, f0)
     n = y.size
@@ -157,8 +156,7 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
         raise NumericFailureError(f"stage matrix factorization failed: {exc}") from exc
     k = []
     for i in range(6):
-        yi = y + sum(a * kj for a, kj in zip(_ROS_A[i], k)) if i else y
-        fi = rhs(yi) if (i or f0 is None) else f0
+        fi = rhs(y + sum(a * kj for a, kj in zip(_ROS_A[i], k))) if i else f0
         stage_rhs = fi + sum((c / h) * kj for c, kj in zip(_ROS_C[i], k))
         k.append(lu_solve(lu, stage_rhs))
     y_new = y + sum(m * ki for m, ki in zip(_ROS_M, k))
@@ -173,51 +171,53 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
 
 @dataclass
 class OdeResult:
-    y: np.ndarray
-    t: float
-    accepted: int
-    rejected: int
+    y: np.ndarray = None
+    t: float = 0.0
+    accepted: int = 0
+    rejected: int = 0
 
 
-def integrate_ode(rhs, y0, config, callback=None):
+def integrate_ode(rhs, y0, config, callback=None, result=None):
     """Drive a stepper from 0 to t_end with standard accept/reject control.
 
-    ``callback(t, y, h_used)`` runs after each accepted step; returning
-    True stops the integration early.
+    ``f0 = rhs(y)`` is computed once per base point and shared by every
+    attempt from it (and by the stiff Jacobian).  ``callback(t, y, h_used)``
+    runs after each accepted step; returning True stops the integration
+    early.  Progress is kept in ``result`` (a new OdeResult when None), so a
+    caller passing its own still reads the step counts when a step raises.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    t = 0.0
+    res = OdeResult() if result is None else result
+    res.y = np.asarray(y0, dtype=float).copy()
     h = min(config.initial_step(), config.max_step(), config.t_end)
     stiff = config.method == "stiff"
-    accepted = rejected = 0
-    jac = f0 = None
-    while t < config.t_end and accepted + rejected < config.max_steps:
-        h = min(h, config.t_end - t)
+    f0 = None
+    while res.t < config.t_end and res.accepted + res.rejected < _MAX_STEPS:
+        h = min(h, config.t_end - res.t)
+        if f0 is None:
+            f0 = rhs(res.y)
+            jac = fd_jacobian(rhs, res.y, f0) if stiff else None
         if stiff:
-            if jac is None:
-                f0 = rhs(y)
-                jac = fd_jacobian(rhs, y, f0)
             y_new, err_norm, h_next = step_stiff(
-                rhs, y, h, config.rel_tol, config.abs_tol, jac=jac, f0=f0)
+                rhs, res.y, h, config.rel_tol, config.abs_tol, jac=jac, f0=f0)
         else:
             y_new, err_norm, h_next = step_rk45(
-                rhs, y, h, config.rel_tol, config.abs_tol)
+                rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
         if err_norm <= 1.0:
-            t += h
-            y = y_new
-            accepted += 1
-            jac = None
-            h = min(max(h_next, config.h_min), config.max_step())
-            if callback is not None and callback(t, y, h):
+            res.t += h
+            res.y = y_new
+            res.accepted += 1
+            f0 = None
+            h = min(max(h_next, _H_MIN), config.max_step())
+            if callback is not None and callback(res.t, res.y, h):
                 break
         else:
-            rejected += 1
+            res.rejected += 1
             h = max(h_next, 0.1 * h)
-            if h < config.h_min:
+            if h < _H_MIN:
                 hint = "; the flow may be stiff, try method='stiff'" if not stiff else ""
                 raise StepFailureError(
-                    f"step size underflow at t={t:.6g} (h={h:.3e}){hint}")
-    return OdeResult(y=y, t=t, accepted=accepted, rejected=rejected)
+                    f"step size underflow at t={res.t:.6g} (h={h:.3e}){hint}")
+    return res
 
 
 # --- outer solve loop ------------------------------------------------------
@@ -254,13 +254,21 @@ class Trajectory:
 
 
 def solve(problem, theta0, gains, integrator=None, tolerances=None,
-          pts_groups=None, eps_act=1e-8, pts_tol=1e-6, c1=1e-2,
-          record_stride=1, lp_at_start=True, multiplier_bound=1e6):
+          pts_groups=None):
     """Integrate the flow from theta0 until convergence or the horizon.
 
     ``pts_groups`` lists inequality index groups in priority order (None
-    for a single group).  Snapshots are recorded at every accepted step,
-    thinned by ``record_stride`` (first and last always kept).
+    for a single group).  A snapshot is recorded at theta0 and at every
+    accepted step.
+
+    ``flow`` computes the flow at an evaluated point: classify the activated
+    rows, settle the working set warm-started from the last snapshot, and
+    recover the multipliers.  The stepper's stages evaluate their point and
+    call it; a snapshot calls it on the point the step accepted, after
+    advancing the priority schedule.  Its settled direction is also
+    ``f0``, the stepper's first stage at that point: resolving from the
+    settled set at the same point and schedule returns that set at once, so
+    each accepted point is evaluated once.
     """
     theta0 = np.asarray(theta0, dtype=float)
     config = IntegratorConfig() if integrator is None else integrator
@@ -271,95 +279,61 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
         pts = dynamics.PtsState(groups=tuple(tuple(g) for g in pts_groups))
 
     traj = Trajectory()
-    evals = [0]
+    ode = OdeResult()
+    warm = ()
+    base = None   # the last snapshot's theta and settled direction
 
-    def eval_point(theta):
-        evals[0] += 1
+    def evaluate_at(theta):
+        traj.rhs_eval_count += 1
         return evaluate(problem, theta)
 
-    # per-step frozen context: the rhs seen by the stepper resolves the
-    # working set at every evaluation, warm-started from the last accepted
-    # step, with the priority schedule frozen for the step
-    context = {"pts": pts, "warm": ()}
+    def flow(point):
+        candidate = dynamics.classify(point, _EPS_ACT, pts, warm)
+        return dynamics.resolve_working_set(point, gains, candidate)
 
     def rhs(theta):
-        point = eval_point(theta)
-        cand = dynamics.classify(point, eps_act, context["pts"], context["warm"])
-        res = dynamics.resolve_working_set(point, gains, cand,
-                                           multiplier_bound=multiplier_bound)
-        return res.dtheta
+        if np.array_equal(theta, base[0]):
+            return base[1]
+        return flow(evaluate_at(theta)).dtheta
 
-    def snapshot(tau, theta):
-        point = eval_point(theta)
-        context["pts"] = dynamics.pts_update(context["pts"], point, pts_tol)
-        cand = dynamics.classify(point, eps_act, context["pts"], context["warm"])
-        res = dynamics.resolve_working_set(point, gains, cand,
-                                           multiplier_bound=multiplier_bound)
-        context["warm"] = res.working_set.working
+    def snapshot(tau, point):
+        """Record the accepted point; True once the verdict is final."""
+        nonlocal pts, warm, base
+        pts = dynamics.pts_update(pts, point)
+        res = flow(point)
+        warm = res.working_set.working
+        base = (point.theta, res.dtheta)
         report = monitor.kkt_report(point, res)
-        state = FlowState(
-            tau=tau, theta=theta.copy(), pi_e=res.pi_e.copy(),
-            pi_i=res.pi_i.copy(), working=res.working_set.working,
-            report=report,
-            lyapunov=monitor.lyapunov_value(point, res.working_set.activated, c1),
-            objective=point.f)
-        return state, report
+        traj.samples.append(FlowState(
+            tau=tau, theta=point.theta, pi_e=res.pi_e, pi_i=res.pi_i,
+            working=warm, report=report,
+            lyapunov=monitor.lyapunov_value(point, res.working_set.activated),
+            objective=point.f))
+        verdict = monitor.decide(report, tols, tau, config.t_end)
+        if verdict != "continue" and not config.fixed_horizon:
+            traj.verdict = verdict
+        return traj.verdict != "continue"
 
     try:
-        point0 = eval_point(theta0)
-        lp_gamma = None
-        if lp_at_start and (problem.s + problem.r) > 0:
-            context["pts"] = dynamics.pts_update(context["pts"], point0, pts_tol)
-            cand0 = dynamics.classify(point0, eps_act, context["pts"])
-            if problem.s + len(cand0.activated) > 0:
-                try:
-                    lp = dynamics.feasibility_lp(
-                        point0, gains, box=10.0 * (1.0 + float(np.abs(theta0).max())),
-                        activated=cand0.activated)
-                    lp_gamma = lp.gamma
-                except NlpflowError:
-                    lp_gamma = None
-        traj.initial_lp_gamma = lp_gamma
-        state, report = snapshot(0.0, theta0)
-        traj.samples.append(state)
-        verdict = monitor.decide(report, tols, 0.0, config.t_end)
-        if verdict == "converged" and not config.fixed_horizon:
-            traj.verdict = "converged"
-            traj.rhs_eval_count = evals[0]
-            return traj
-
-        pending = [None]   # last un-recorded snapshot when striding
-
-        def on_accept(tau, theta, h_next):
-            traj.step_count += 1
-            state, report = snapshot(tau, theta)
-            if record_stride <= 1 or traj.step_count % record_stride == 0:
-                traj.samples.append(state)
-                pending[0] = None
-            else:
-                pending[0] = state
-            verdict = monitor.decide(report, tols, tau, config.t_end)
-            if config.fixed_horizon:
-                return verdict == "horizon-reached"
-            if verdict != "continue":
-                traj.verdict = verdict
-                return True
-            return False
-
-        result = integrate_ode(rhs, theta0, config, callback=on_accept)
-        traj.rejected_count = result.rejected
-        if pending[0] is not None:
-            traj.samples.append(pending[0])
-        if traj.verdict == "continue":
-            if result.t >= config.t_end:
-                last = traj.samples[-1]
-                traj.verdict = ("converged"
-                                if tols.satisfied_by(last.report) and not config.fixed_horizon
-                                else "horizon-reached")
-            else:
-                traj.verdict = "error:max-steps"
+        point0 = evaluate_at(theta0)
+        pts = dynamics.pts_update(pts, point0)
+        activated = dynamics.classify(point0, _EPS_ACT, pts).activated
+        if problem.s + len(activated) > 0:
+            try:
+                traj.initial_lp_gamma = dynamics.feasibility_lp(
+                    point0, gains, box=10.0 * (1.0 + float(np.abs(theta0).max())),
+                    activated=activated).gamma
+            except NlpflowError:
+                pass
+        if not snapshot(0.0, point0):
+            integrate_ode(rhs, theta0, config, result=ode,
+                          callback=lambda tau, theta, h: snapshot(tau, evaluate_at(theta)))
+            if traj.verdict == "continue":
+                traj.verdict = ("horizon-reached" if ode.t >= config.t_end
+                                else "error:max-steps")
     except NlpflowError as exc:
         traj.verdict = f"error:{type(exc).__name__}"
         traj.error = exc
-    traj.rhs_eval_count = evals[0]
+    traj.step_count = ode.accepted
+    traj.rejected_count = ode.rejected
     return traj

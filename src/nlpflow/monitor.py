@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["KktReport", "ToleranceSet", "kkt_report", "lyapunov_value", "decide"]
-
 
 @dataclass(frozen=True)
 class KktReport:

@@ -22,8 +22,6 @@ from . import autodiff
 from .errors import ProblemParseError
 from .problems import NlpProblem, check_derivatives
 
-__all__ = ["parse_problem", "serialize_problem"]
-
 _FUNCTIONS = {
     "sin": autodiff.sin,
     "cos": autodiff.cos,

@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import EvaluationError, InvalidInputError, UnknownProblemError
 
-__all__ = ["NlpProblem", "EvalPoint", "evaluate", "builtin", "builtin_names",
-           "check_derivatives"]
-
 
 @dataclass(frozen=True)
 class NlpProblem:

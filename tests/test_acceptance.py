@@ -12,21 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from nlpflow import (
-    GainSet,
-    IntegratorConfig,
-    WorkingSet,
-    builtin,
-    check_derivatives,
-    classify,
-    evaluate,
-    integrate_ode,
-    resolve_working_set,
-    rhs_general,
-    solve,
-)
+from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
+from nlpflow.dynamics import WorkingSet, classify, resolve_working_set, rhs_general
 from nlpflow.errors import NumericFailureError
 from nlpflow.linalg import pinv, projector_col, projector_row
+from nlpflow.problems import check_derivatives, evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
 HARD_START_1 = np.array([-4.8578, 3.8180, -2.7364])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import Dual, EvaluationError, seed
 from nlpflow import autodiff
+from nlpflow.autodiff import Dual, seed
+from nlpflow.errors import EvaluationError
 
 
 def grad_of(fn, x, eps=1e-7):
@@ -99,3 +100,5 @@ def test_domain_errors_become_evaluation_errors():
         with pytest.raises(EvaluationError):
             autodiff.div(a, b)
     assert autodiff.div(x, 2.0).value == -0.5
+    with pytest.raises(EvaluationError):
+        Dual(0.0, [1.0]) ** 0.5

@@ -155,4 +155,4 @@ def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "error:EvaluationError"
     assert "math domain error" in summary["error_detail"]
-    assert calls[0] == 29
+    assert calls[0] == 24

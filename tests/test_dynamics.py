@@ -2,26 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
-from nlpflow import (
-    EvalPoint,
-    GainSet,
-    InfeasibleSubproblemError,
-    InvalidInputError,
+from nlpflow import GainSet, builtin
+from nlpflow.dynamics import (
     MultiplierBoundWarning,
     PtsState,
     WorkingSet,
-    builtin,
     classify,
-    evaluate,
     feasibility_lp,
     pts_update,
     resolve_working_set,
-    rhs_feasible,
     rhs_general,
 )
-from nlpflow.errors import NumericFailureError
-from nlpflow.linalg import projector_row, sqrt_spd
+from nlpflow.errors import InvalidInputError, NumericFailureError
+from nlpflow.linalg import projector_row
+from nlpflow.problems import EvalPoint, evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
 
@@ -110,7 +106,7 @@ class TestRhsClosedForms:
     def test_ec_quadratic_at_optimum(self):
         point = evaluate(builtin("ec-quadratic"), np.array([1.0, 1.0]))
         gains = GainSet.uniform(2, 1, 0, k_theta=1.0, k_h=1.0)
-        res = rhs_feasible(point, gains, WorkingSet((), ()))
+        res = rhs_general(point, gains, WorkingSet((), ()))
         assert np.allclose(res.pi_e, [-1.0], atol=1e-12)
         assert np.abs(res.dtheta).max() <= 1e-12
 
@@ -159,17 +155,17 @@ class TestRhsClosedForms:
             point = make_point(rng.standard_normal(n), rng.standard_normal(n),
                                h=np.zeros(s), h_jac=h_jac)
             gains = GainSet(k_theta, np.eye(s), np.zeros(0))
-            res = rhs_feasible(point, gains, WorkingSet((), ()))
-            root = sqrt_spd(k_theta)
+            res = rhs_general(point, gains, WorkingSet((), ()))
+            root = sqrtm(k_theta)
             proj = projector_row(h_jac @ root)
             expected = -root @ (np.eye(n) - proj) @ root @ point.f_grad
             assert np.allclose(res.dtheta, expected, atol=1e-8)
 
     def test_multiplier_bound_warning(self):
         point = evaluate(builtin("ec-quadratic"), np.array([0.0, 0.0]))
-        gains = GainSet.uniform(2, 1, 0, k_theta=1.0, k_h=1.0)
+        gains = GainSet.uniform(2, 1, 0, k_theta=1e-8, k_h=1.0)
         with pytest.warns(MultiplierBoundWarning):
-            rhs_general(point, gains, WorkingSet((), ()), multiplier_bound=0.5)
+            rhs_general(point, gains, WorkingSet((), ()))
 
 
 class TestRedundantRows:

@@ -4,20 +4,10 @@ import numpy as np
 import pytest
 
 import nlpflow.integrate
-from nlpflow import (
-    GainSet,
-    IntegratorConfig,
-    InvalidInputError,
-    NlpProblem,
-    StepFailureError,
-    ToleranceSet,
-    builtin,
-    fd_jacobian,
-    integrate_ode,
-    solve,
-    step_rk45,
-    step_stiff,
-)
+from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
+from nlpflow.errors import EvaluationError, InvalidInputError, StepFailureError
+from nlpflow.integrate import fd_jacobian, step_rk45, step_stiff
+from nlpflow.problems import NlpProblem
 
 def decay(y):
     return -y
@@ -123,8 +113,9 @@ class TestSteppers:
         assert np.array_equal(a.y, b.y)
         assert (a.accepted, a.rejected) == (b.accepted, b.rejected)
 
-    def test_stiff_evaluates_each_base_point_once(self):
-        # the Jacobian and stage 0 of every attempt share one evaluation
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_evaluates_each_base_point_once(self, method):
+        # stage 0 of every attempt (and the stiff Jacobian) share one evaluation
         y0 = np.array([0.0, 0.0])
         seen = []
 
@@ -132,7 +123,7 @@ class TestSteppers:
             seen.append(y.tobytes())
             return np.array([1.0, -1000.0 * (y[1] - math.cos(y[0]))])
 
-        res = integrate_ode(rhs, y0, IntegratorConfig(method="stiff", t_end=1.0, h_init=0.1))
+        res = integrate_ode(rhs, y0, IntegratorConfig(method=method, t_end=1.0, h_init=0.1))
         assert res.rejected > 0
         assert seen.count(y0.tobytes()) == 1
 
@@ -182,17 +173,6 @@ class TestSolve:
         assert traj.verdict == "horizon-reached"
         assert traj.final.tau == 10.0
         assert np.abs(traj.final.theta).max() <= 1e-3
-
-    def test_record_stride_thins_but_keeps_endpoints(self):
-        p = builtin("unconstrained-quadratic", size=2)
-        gains = GainSet.uniform(2, 0, 0, k_theta=1.0)
-        cfg = IntegratorConfig(t_end=10.0, fixed_horizon=True)
-        dense = solve(p, np.array([1.0, -1.0]), gains, integrator=cfg)
-        thin = solve(p, np.array([1.0, -1.0]), gains, integrator=cfg,
-                     record_stride=5)
-        assert len(thin.samples) < len(dense.samples)
-        assert thin.samples[0].tau == 0.0
-        assert thin.final.tau == dense.final.tau
 
     def test_evaluation_failure_becomes_error_verdict(self):
         bad = NlpProblem(
@@ -246,3 +226,43 @@ class TestSolve:
         assert traj.verdict == "converged"
         assert traj.rejected_count > 0
         assert attempts[0] == traj.step_count + traj.rejected_count
+
+    def test_accepted_points_are_evaluated_once(self):
+        # one evaluation at theta0, six new stages per attempt (stage 1 is
+        # the base point's snapshot), one per accepted point
+        p = builtin("example1")
+        gains = GainSet.uniform(3, 2, 5)
+        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
+                     integrator=IntegratorConfig(t_end=300.0),
+                     pts_groups=[(0, 1, 2), (3, 4)])
+        assert traj.verdict == "converged"
+        attempts = traj.step_count + traj.rejected_count
+        assert traj.rhs_eval_count == 1 + 6 * attempts + traj.step_count
+
+    def test_rejections_survive_an_error_verdict(self, monkeypatch):
+        attempts = [0]
+        calls = [0]
+        step = nlpflow.integrate.step_rk45
+        evaluate = nlpflow.integrate.evaluate
+
+        def counted_step(*args, **kwargs):
+            attempts[0] += 1
+            return step(*args, **kwargs)
+
+        def failing_evaluate(*args):
+            calls[0] += 1
+            if calls[0] == 300:
+                raise EvaluationError("injected")
+            return evaluate(*args)
+
+        monkeypatch.setattr(nlpflow.integrate, "step_rk45", counted_step)
+        monkeypatch.setattr(nlpflow.integrate, "evaluate", failing_evaluate)
+        p = builtin("example1")
+        gains = GainSet.uniform(3, 2, 5)
+        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
+                     integrator=IntegratorConfig(t_end=300.0),
+                     pts_groups=[(0, 1, 2), (3, 4)])
+        assert traj.verdict == "error:EvaluationError"
+        assert traj.rejected_count > 0
+        # the attempt that raised was neither accepted nor rejected
+        assert traj.rejected_count == attempts[0] - traj.step_count - 1

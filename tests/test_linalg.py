@@ -3,20 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlpflow import InvalidInputError, builtin, evaluate
-from nlpflow.linalg import (
-    pinv,
-    pinv_gram,
-    projector_col,
-    projector_row,
-    rank_cutoff,
-    sqrt_spd,
-    svd,
-)
+from nlpflow import builtin
+from nlpflow.errors import InvalidInputError
+from nlpflow.linalg import pinv, pinv_gram, projector_col, projector_row, rank_cutoff
+from nlpflow.problems import evaluate
 
 EPS = np.finfo(float).eps
-
-RT10 = np.sqrt(10.0)
 
 
 def random_matrices(count, max_dim=20, seed=0):
@@ -32,35 +24,6 @@ def random_matrices(count, max_dim=20, seed=0):
             yield rng.standard_normal((m, n))
 
 
-class TestSvd:
-    def test_identity(self):
-        fac = svd(np.eye(2))
-        assert np.allclose(fac.singular_values, [1.0, 1.0])
-        assert fac.numerical_rank == 2
-
-    def test_zero(self):
-        fac = svd(np.zeros((2, 2)))
-        assert np.allclose(fac.singular_values, 0.0)
-        assert fac.numerical_rank == 0
-
-    def test_rank_one(self):
-        fac = svd([[1.0, 1.0], [2.0, 2.0]])
-        assert np.allclose(fac.singular_values, [RT10, 0.0], atol=1e-12)
-        assert fac.numerical_rank == 1
-
-    def test_reconstruct(self):
-        for a in random_matrices(20, seed=1):
-            fac = svd(a)
-            scale = max(1.0, np.linalg.norm(a))
-            assert np.linalg.norm(fac.reconstruct() - a) <= 1e-10 * scale
-            assert np.allclose(fac.u @ fac.u.T, np.eye(a.shape[0]), atol=1e-10)
-            assert np.allclose(fac.vt @ fac.vt.T, np.eye(a.shape[1]), atol=1e-10)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            svd([[1.0, np.nan]])
-
-
 class TestPinv:
     def test_identity(self):
         assert np.allclose(pinv(np.eye(3)), np.eye(3))
@@ -70,7 +33,12 @@ class TestPinv:
                            [[0.1, 0.2], [0.1, 0.2]], atol=1e-12)
 
     def test_zero(self):
-        assert np.array_equal(pinv(np.zeros((3, 5))), np.zeros((5, 3)))
+        for shape in ((3, 5), (2, 2)):
+            assert np.array_equal(pinv(np.zeros(shape)), np.zeros(shape[::-1]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            pinv([[1.0, np.nan]])
 
     def test_inverse_when_square_nonsingular(self):
         rng = np.random.default_rng(2)
@@ -200,37 +168,3 @@ class TestProjectors:
                 assert np.abs(p @ p - p).max() <= 1e-8
                 assert np.abs(p - p.T).max() <= 1e-8
 
-
-class TestSqrtSpd:
-    def test_scaled_identity(self):
-        assert np.allclose(sqrt_spd(0.1 * np.eye(3)), np.sqrt(0.1) * np.eye(3))
-
-    def test_identity(self):
-        assert np.allclose(sqrt_spd(np.eye(4)), np.eye(4))
-
-    def test_two_by_two(self):
-        k = np.array([[2.0, 1.0], [1.0, 2.0]])   # eigenvalues 3 and 1
-        s = sqrt_spd(k)
-        assert np.allclose(s, s.T)
-        assert np.abs(s @ s - k).max() <= 1e-10
-        assert np.allclose(np.linalg.eigvalsh(s), [1.0, np.sqrt(3.0)])
-
-    def test_random_spd(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = rng.standard_normal((5, 5))
-            k = a @ a.T + np.eye(5)
-            s = sqrt_spd(k)
-            assert np.abs(s @ s - k).max() <= 1e-10 * max(1.0, np.abs(k).max())
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            sqrt_spd([[1.0, 2.0], [0.0, 1.0]])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidInputError):
-            sqrt_spd([[1.0, 0.0], [0.0, -1.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInputError):
-            sqrt_spd(np.ones((2, 3)))

@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
 
-from nlpflow import (
-    GainSet,
-    InvalidInputError,
-    KktReport,
-    ToleranceSet,
-    WorkingSet,
-    builtin,
-    classify,
-    decide,
-    evaluate,
-    kkt_report,
-    lyapunov_value,
-    resolve_working_set,
-    rhs_general,
-)
+from nlpflow import GainSet, builtin
+from nlpflow.dynamics import WorkingSet, classify, resolve_working_set, rhs_general
+from nlpflow.errors import InvalidInputError
+from nlpflow.monitor import KktReport, ToleranceSet, decide, kkt_report, lyapunov_value
+from nlpflow.problems import evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
 

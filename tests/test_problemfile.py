@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import (
-    EvaluationError,
-    ProblemParseError,
-    builtin,
-    evaluate,
-    parse_problem,
-    serialize_problem,
-)
+from nlpflow import builtin, parse_problem, serialize_problem
+from nlpflow.errors import EvaluationError, ProblemParseError
+from nlpflow.problems import evaluate
 
 EC_QUADRATIC_TEXT = """\
 # equality-constrained quadratic
@@ -137,7 +132,7 @@ def test_serialize_requires_parsed_problem():
 
 @pytest.mark.parametrize("text", ["var 1\nmin log(x1 - 1)", "var 1\nmin x1\nineq sqrt(x1)",
                                   # finite value 0, but the dual pass divides by zero
-                                  "var 1\nmin exp(-1 / x1^2)"])
+                                  "var 1\nmin exp(-1 / x1^2)", "var 1\nmin x1^0.5"])
 @pytest.mark.filterwarnings("ignore:divide by zero")
 def test_domain_errors_raise_evaluation_error(text):
     problem = parse_problem(text, validate=False)

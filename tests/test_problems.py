@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import (
-    EvaluationError,
-    InvalidInputError,
+from nlpflow import builtin
+from nlpflow.errors import EvaluationError, InvalidInputError, UnknownProblemError
+from nlpflow.problems import (
     NlpProblem,
-    UnknownProblemError,
-    builtin,
     builtin_names,
     check_derivatives,
     evaluate,
