@@ -33,8 +33,13 @@ class TestPinv:
                            [[0.1, 0.2], [0.1, 0.2]], atol=1e-12)
 
     def test_zero(self):
-        for shape in ((3, 5), (2, 2)):
-            assert np.array_equal(pinv(np.zeros(shape)), np.zeros(shape[::-1]))
+        assert np.array_equal(pinv(np.zeros((3, 5))), np.zeros((5, 3)))
+
+    def test_zero_square(self):
+        assert np.array_equal(pinv(np.zeros((2, 2))), np.zeros((2, 2)))
+        x, rank = pinv_gram(np.zeros((2, 2)), np.ones(2))
+        assert rank == 0
+        assert np.array_equal(x, np.zeros(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
