@@ -10,9 +10,10 @@ steps.  Two starts are shown:
 * a descending ramp from 2 to -1, where the median of theta visibly pauses
   near 0.5 before jumping to the all-ones optimum.
 
-The ramp start triggers a MultiplierBoundWarning: several band constraints
-conflict transiently and their multipliers spike before the flow untangles
-itself.  The warning is diagnostic only; the run still converges.
+On the ramp start several band constraints conflict transiently, so the
+working set changes often and many steps are rejected before the flow
+untangles itself.  Each Rosenbrock step uses the exact flow Jacobian on the
+working set settled at its base point.
 """
 
 import time

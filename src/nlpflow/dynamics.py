@@ -196,6 +196,34 @@ def rhs_general(point, gains, ws):
                      working_set=ws, stacked_jacobian_rank=rank)
 
 
+def flow_jacobian(point, gains, res, curvature):
+    """Jacobian of the flow at an evaluated point, on the smooth piece of the
+    working set ``res`` settled there.
+
+    With H the stacked Jacobian of the equality and working rows, K the
+    direction gain, G = H K H^T and T = blkdiag(K_h, diag k_g[working]):
+
+        J = -K W + K H^T G+ (H K W - T H - M),
+
+    where ``curvature(point, pi_e, pi_i, v)`` gives W, the Hessian of the
+    Lagrangian at the multipliers of ``res``, and the rows of M,
+    (grad^2 c_j theta')^T over the rows of H at v = theta'.  One Gram solve
+    with a matrix right-hand side; -K W when no row is working.
+    """
+    w, g_v, h_v = curvature(point, res.pi_e, res.pi_i, res.dtheta)
+    kw = gains.k_theta @ w
+    working = list(res.working_set.working)
+    hbar = np.vstack([point.h_jac, point.g_jac[working]])
+    if hbar.shape[0] == 0:
+        return -kw
+    hk = hbar @ gains.k_theta
+    t_hbar = np.vstack([gains.k_h @ point.h_jac,
+                        gains.k_g[working, None] * point.g_jac[working]])
+    m_rows = np.vstack([h_v, g_v[working]])
+    sol, _ = pinv_gram(hk @ hbar.T, hbar @ kw - t_hbar - m_rows)
+    return hk.T @ sol - kw
+
+
 def resolve_working_set(point, gains, candidate):
     """Active-set loop settling the working subset.
 

@@ -3,21 +3,24 @@
 Two embedded steppers drive the outer solve loop: an explicit
 Dormand-Prince 5(4) pair for non-stiff flows and a 6-stage L-stable
 Rosenbrock 4(3) method (RODAS-type tableau, Hairer & Wanner) for stiff
-ones, with the Jacobian of the assembled right-hand side approximated by
-forward finite differences.
+ones.  ``solve`` gives the Rosenbrock stepper the exact flow Jacobian on
+the working set settled at each base point (``dynamics.flow_jacobian``, one
+Gram solve); ``integrate_ode`` on a plain right-hand side takes forward
+finite differences (``fd_jacobian``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import dynamics, monitor
 from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFailureError
-from .problems import evaluate
+from .problems import FD_REL_STEP, curvature_at, evaluate
 
 _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
 _MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
@@ -128,7 +131,7 @@ _ROS_M = (1.221224509226641, 6.019134481288629, 12.53708332932087,
 _ROS_E = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def fd_jacobian(rhs, y, f0=None, rel_step=1e-7):
+def fd_jacobian(rhs, y, f0=None, rel_step=FD_REL_STEP):
     """Forward-difference Jacobian of an autonomous right-hand side."""
     f0 = rhs(y) if f0 is None else f0
     n = y.size
@@ -175,16 +178,19 @@ class OdeResult:
     t: float = 0.0
     accepted: int = 0
     rejected: int = 0
+    jacobians: int = 0
 
 
-def integrate_ode(rhs, y0, config, callback=None, result=None):
+def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
     """Drive a stepper from 0 to t_end with standard accept/reject control.
 
     ``f0 = rhs(y)`` is computed once per base point and shared by every
-    attempt from it (and by the stiff Jacobian).  ``callback(t, y, h_used)``
-    runs after each accepted step; returning True stops the integration
-    early.  Progress is kept in ``result`` (a new OdeResult when None), so a
-    caller passing its own still reads the step counts when a step raises.
+    attempt from it.  The stiff stepper's Jacobian, also one per base point,
+    is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
+    ``callback(t, y, h_used)`` runs after each accepted step; returning True
+    stops the integration early.  Progress is kept in ``result`` (a new
+    OdeResult when None), so a caller passing its own still reads the step
+    counts when a step raises.
     """
     res = OdeResult() if result is None else result
     res.y = np.asarray(y0, dtype=float).copy()
@@ -195,7 +201,9 @@ def integrate_ode(rhs, y0, config, callback=None, result=None):
         h = min(h, config.t_end - res.t)
         if f0 is None:
             f0 = rhs(res.y)
-            jac = fd_jacobian(rhs, res.y, f0) if stiff else None
+            if stiff:
+                jac = fd_jacobian(rhs, res.y, f0) if jacobian is None else jacobian(res.y)
+                res.jacobians += 1
         if stiff:
             y_new, err_norm, h_next = step_stiff(
                 rhs, res.y, h, config.rel_tol, config.abs_tol, jac=jac, f0=f0)
@@ -238,7 +246,13 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Ordered snapshots plus the termination verdict."""
+    """Ordered snapshots plus the termination verdict.
+
+    ``rhs_eval_count`` counts evaluations at distinct flow points (one
+    ``evaluate`` each).  ``jacobian_count`` counts stiff flow Jacobians; for
+    a problem without a curvature oracle each of them also calls its
+    derivative oracle n times, which ``rhs_eval_count`` does not include.
+    """
 
     samples: list = field(default_factory=list)
     verdict: str = "continue"
@@ -247,6 +261,7 @@ class Trajectory:
     error: Exception | None = None
     initial_lp_gamma: float | None = None
     rejected_count: int = 0
+    jacobian_count: int = 0
 
     @property
     def final(self):
@@ -267,10 +282,16 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     call it; a snapshot calls it on the point the step accepted, after
     advancing the priority schedule.  Its settled direction is also
     ``f0``, the stepper's first stage at that point: resolving from the
-    settled set at the same point and schedule returns that set at once, so
-    each accepted point is evaluated once.
+    settled set at the same point and schedule returns that set at once.
+    The point itself is the last one evaluated when the step's final stage
+    lies on it bitwise (Dormand-Prince), so each accepted point is
+    evaluated once.  The stiff Jacobian at a base point is
+    ``dynamics.flow_jacobian`` of the snapshot's point and settled flow.
+
+    Raises InvalidInputError when the gain shapes do not fit the problem.
     """
     theta0 = np.asarray(theta0, dtype=float)
+    _check_gains(gains, problem)
     config = IntegratorConfig() if integrator is None else integrator
     tols = monitor.ToleranceSet() if tolerances is None else tolerances
     if pts_groups is None:
@@ -281,20 +302,28 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     traj = Trajectory()
     ode = OdeResult()
     warm = ()
-    base = None   # the last snapshot's theta and settled direction
+    base = None   # the last snapshot's point and settled flow
+    last = None   # the last point evaluated
 
     def evaluate_at(theta):
-        traj.rhs_eval_count += 1
-        return evaluate(problem, theta)
+        nonlocal last
+        if last is None or not np.array_equal(theta, last.theta):
+            traj.rhs_eval_count += 1
+            last = evaluate(problem, theta)
+        return last
 
     def flow(point):
         candidate = dynamics.classify(point, _EPS_ACT, pts, warm)
         return dynamics.resolve_working_set(point, gains, candidate)
 
     def rhs(theta):
-        if np.array_equal(theta, base[0]):
-            return base[1]
+        if np.array_equal(theta, base[0].theta):
+            return base[1].dtheta
         return flow(evaluate_at(theta)).dtheta
+
+    def jacobian(theta):
+        point, res = base
+        return dynamics.flow_jacobian(point, gains, res, partial(curvature_at, problem))
 
     def snapshot(tau, point):
         """Record the accepted point; True once the verdict is final."""
@@ -302,7 +331,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
         pts = dynamics.pts_update(pts, point)
         res = flow(point)
         warm = res.working_set.working
-        base = (point.theta, res.dtheta)
+        base = (point, res)
         report = monitor.kkt_report(point, res)
         traj.samples.append(FlowState(
             tau=tau, theta=point.theta, pi_e=res.pi_e, pi_i=res.pi_i,
@@ -326,7 +355,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
             except NlpflowError:
                 pass
         if not snapshot(0.0, point0):
-            integrate_ode(rhs, theta0, config, result=ode,
+            integrate_ode(rhs, theta0, config, result=ode, jacobian=jacobian,
                           callback=lambda tau, theta, h: snapshot(tau, evaluate_at(theta)))
             if traj.verdict == "continue":
                 traj.verdict = ("horizon-reached" if ode.t >= config.t_end
@@ -336,4 +365,16 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
         traj.error = exc
     traj.step_count = ode.accepted
     traj.rejected_count = ode.rejected
+    traj.jacobian_count = ode.jacobians
     return traj
+
+
+def _check_gains(gains, problem):
+    """InvalidInputError unless k_theta is n x n, k_h s x s, k_g of length r."""
+    n, r, s = problem.n, problem.r, problem.s
+    for name, want in (("k_theta", (n, n)), ("k_h", (s, s)), ("k_g", (r,))):
+        value = getattr(gains, name)
+        # any empty gain fits an empty shape, as GainSet accepts
+        if value.shape != want and not (value.size == 0 and 0 in want):
+            raise InvalidInputError(
+                f"{name} has shape {value.shape}; {problem.name} needs {want}")

@@ -7,7 +7,9 @@ A problem is the standard form
 with theta in R^n, g vector-valued of length r, h of length s.  Derivatives
 are supplied analytically (builtins) or by dual-number propagation (parsed
 problems); central finite differences act only as a registration-time
-cross-check.
+cross-check.  Second-order terms, which the stiff stepper's flow Jacobian
+needs, come from an optional curvature oracle (hand-written for the
+builtins) or else from forward differences of the derivative oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ class NlpProblem:
     ``derivatives(theta)`` returns ``(f_grad, g_jac, h_jac)`` with shapes
     (n,), (r, n), (s, n).  ``known_optimum`` is test-harness metadata; the
     solver never reads it.
+
+    ``curvature(theta, pi_e, pi_i, v)``, optional, returns ``(W, G_v, H_v)``:
+    W (n x n) is the Hessian of the Lagrangian
+    grad^2 f + sum_j pi_e[j] grad^2 h_j + sum_i pi_i[i] grad^2 g_i, and row i
+    of G_v (r x n) and row j of H_v (s x n) are grad^2 g_i v and
+    grad^2 h_j v.  It is contracted with the multipliers and v so that no
+    Hessian tensor is formed.  Without it, ``curvature_at`` differences the
+    derivative oracle (n more calls per Jacobian).
     """
 
     name: str
@@ -37,6 +47,7 @@ class NlpProblem:
     inequalities: callable
     equalities: callable
     derivatives: callable
+    curvature: callable = None
     known_optimum: np.ndarray | None = None
     notes: str = ""
 
@@ -67,6 +78,17 @@ def _require_finite(value, component):
         raise EvaluationError(f"non-finite value in {bad}", component=bad)
 
 
+def _shaped(value, shape, component):
+    """``value`` as a finite float array of ``shape``, else EvaluationError."""
+    a = np.asarray(value, dtype=float)
+    if a.size != math.prod(shape):
+        raise EvaluationError(f"{component} has {a.size} entries, expected shape {shape}",
+                              component=component)
+    a = a.reshape(shape)
+    _require_finite(a, component)
+    return a
+
+
 def evaluate(problem, theta):
     """Evaluate objective, constraints, and derivatives in one pass."""
     theta = np.asarray(theta, dtype=float)
@@ -78,19 +100,59 @@ def evaluate(problem, theta):
 
     f = float(problem.objective(theta))
     _require_finite(f, "objective")
-    g = np.asarray(problem.inequalities(theta), dtype=float).reshape(problem.r)
-    _require_finite(g, "ineq")
-    h = np.asarray(problem.equalities(theta), dtype=float).reshape(problem.s)
-    _require_finite(h, "eq")
-    f_grad, g_jac, h_jac = problem.derivatives(theta)
-    f_grad = np.asarray(f_grad, dtype=float).reshape(problem.n)
-    g_jac = np.asarray(g_jac, dtype=float).reshape(problem.r, problem.n)
-    h_jac = np.asarray(h_jac, dtype=float).reshape(problem.s, problem.n)
-    _require_finite(f_grad, "objective gradient")
-    _require_finite(g_jac, "ineq jacobian")
-    _require_finite(h_jac, "eq jacobian")
+    g = _shaped(problem.inequalities(theta), (problem.r,), "ineq")
+    h = _shaped(problem.equalities(theta), (problem.s,), "eq")
+    f_grad, g_jac, h_jac = _derivatives(problem, theta)
     return EvalPoint(theta=theta.copy(), f=f, f_grad=f_grad,
                      g=g, g_jac=g_jac, h=h, h_jac=h_jac)
+
+
+def _derivatives(problem, theta):
+    """The derivative oracle at theta, shaped and checked finite."""
+    f_grad, g_jac, h_jac = problem.derivatives(theta)
+    n = problem.n
+    return (_shaped(f_grad, (n,), "objective gradient"),
+            _shaped(g_jac, (problem.r, n), "ineq jacobian"),
+            _shaped(h_jac, (problem.s, n), "eq jacobian"))
+
+
+# --- second-order terms ----------------------------------------------------
+
+FD_REL_STEP = 1e-7    # forward-difference step, relative to max(1, |theta_j|)
+
+
+def _curvature(problem, theta, pi_e, pi_i, v):
+    """The curvature oracle at theta, shaped and checked finite."""
+    w, g_v, h_v = problem.curvature(theta, pi_e, pi_i, v)
+    n = problem.n
+    return (_shaped(w, (n, n), "lagrangian hessian"),
+            _shaped(g_v, (problem.r, n), "ineq curvature"),
+            _shaped(h_v, (problem.s, n), "eq curvature"))
+
+
+def curvature_at(problem, point, pi_e, pi_i, v):
+    """``(W, G_v, H_v)`` of ``NlpProblem.curvature`` at an evaluated point.
+
+    Calls the problem's oracle when it has one.  Otherwise differences its
+    derivative oracle forward from the point: n calls at theta + delta e_j.
+    """
+    if problem.curvature is not None:
+        return _curvature(problem, point.theta, pi_e, pi_i, v)
+    n = problem.n
+    w = np.empty((n, n))
+    g_v = np.zeros((problem.r, n))
+    h_v = np.zeros((problem.s, n))
+    base = (point.f_grad, point.g_jac, point.h_jac)
+    for j in range(n):
+        delta = FD_REL_STEP * max(1.0, abs(point.theta[j]))
+        tp = point.theta.copy()
+        tp[j] += delta
+        d_grad, d_gjac, d_hjac = ((a - b) / delta
+                                  for a, b in zip(_derivatives(problem, tp), base))
+        w[:, j] = d_grad + d_gjac.T @ pi_i + d_hjac.T @ pi_e
+        g_v += v[j] * d_gjac
+        h_v += v[j] * d_hjac
+    return w, g_v, h_v
 
 
 # --- derivative cross-check ------------------------------------------------
@@ -99,17 +161,30 @@ def check_derivatives(problem, points=3, rtol=1e-5, rng=None):
     """Compare analytic derivatives against central finite differences.
 
     Raises EvaluationError when the relative mismatch exceeds ``rtol`` at any
-    of ``points`` random test points.
+    of ``points`` random test points.  A curvature oracle, at random
+    multipliers and direction v, is compared against central differences of
+    the derivative oracle along v: they give G_v, H_v and W v.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     for _ in range(points):
         theta = rng.uniform(0.5, 1.5, size=problem.n)
         fd_grad, fd_gjac, fd_hjac = finite_difference_derivatives(problem, theta)
-        f_grad, g_jac, h_jac = problem.derivatives(theta)
-        for got, ref, label in ((f_grad, fd_grad, "objective gradient"),
-                                (g_jac, fd_gjac, "ineq jacobian"),
-                                (h_jac, fd_hjac, "eq jacobian")):
-            got = np.asarray(got, dtype=float)
+        f_grad, g_jac, h_jac = _derivatives(problem, theta)
+        pairs = [(f_grad, fd_grad, "objective gradient"),
+                 (g_jac, fd_gjac, "ineq jacobian"),
+                 (h_jac, fd_hjac, "eq jacobian")]
+        if problem.curvature is not None:
+            pi_e, pi_i, v = (rng.standard_normal(k) for k in (problem.s, problem.r, problem.n))
+            w, g_v, h_v = _curvature(problem, theta, pi_e, pi_i, v)
+            step = 1e-6 * max(1.0, np.abs(theta).max()) / np.abs(v).max()
+            d_grad, d_gjac, d_hjac = (
+                (a - b) / (2.0 * step) for a, b in zip(_derivatives(problem, theta + step * v),
+                                                       _derivatives(problem, theta - step * v)))
+            pairs += [(w @ v, d_grad + d_gjac.T @ pi_i + d_hjac.T @ pi_e,
+                       "lagrangian hessian"),
+                      (g_v, d_gjac, "ineq curvature"),
+                      (h_v, d_hjac, "eq curvature")]
+        for got, ref, label in pairs:
             if got.size == 0:
                 continue
             scale = max(1.0, np.abs(ref).max())
@@ -181,10 +256,23 @@ def _product_triple():
         h_jac = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
         return f_grad, g_jac, h_jac
 
+    def curvature(t, pi_e, pi_i, v):
+        # only rows 3 and 4 are curved; row 4 through its rational term
+        den = 0.5 + t[1] ** 2
+        quad = np.diag([1.0, 2.0, 2.0])
+        frac = np.zeros((3, 3))
+        frac[0, 1] = frac[1, 0] = -2.0 * t[1] / den ** 2
+        frac[1, 1] = -2.0 * t[0] / den ** 2 + 8.0 * t[0] * t[1] ** 2 / den ** 3
+        g_v = np.zeros((5, 3))
+        g_v[3] = quad @ v
+        g_v[4] = frac @ v
+        w = np.eye(3) - 1.0 + pi_i[3] * quad + pi_i[4] * frac
+        return w, g_v, np.zeros((2, 3))
+
     return NlpProblem(
         name="example1", n=3, r=5, s=2,
         objective=objective, inequalities=inequalities,
-        equalities=equalities, derivatives=derivatives,
+        equalities=equalities, derivatives=derivatives, curvature=curvature,
         known_optimum=np.array([2.0, 0.5, 0.5]),
         notes="pairwise-product objective, rank-deficient equalities")
 
@@ -252,10 +340,27 @@ def _sine_chain(k):
         h_jac[idx, idx + 1] = -1.0
         return f_grad, g_jac, h_jac
 
+    def curvature(t, pi_e, pi_i, v):
+        # the Lagrangian Hessian is tridiagonal, the band rows' Hessians
+        # +-2 e_j e_j^T, and the equalities are linear
+        angles = _angles(t)
+        sinv = np.sin(angles)
+        idx = np.arange(k - 1)
+        w = np.zeros((k, k))
+        w[0, 0] = -math.sin(t[0] - 1.0 + c)
+        w[idx, idx] += (100.0 * (2.0 * np.cos(angles) - 4.0 * t[:-1] ** 2 * sinv)
+                        + 2.0 * (pi_i[2::2] - pi_i[3::2]))
+        w[idx + 1, idx + 1] -= 100.0 * sinv
+        w[idx, idx + 1] = w[idx + 1, idx] = 200.0 * t[:-1] * sinv
+        g_v = np.zeros((2 * k, k))
+        g_v[2 + 2 * idx, idx] = 2.0 * v[:-1]
+        g_v[3 + 2 * idx, idx] = -2.0 * v[:-1]
+        return w, g_v, np.zeros((k - 1, k))
+
     return NlpProblem(
         name="example2", n=k, r=2 * k, s=k - 1,
         objective=objective, inequalities=inequalities,
-        equalities=equalities, derivatives=derivatives,
+        equalities=equalities, derivatives=derivatives, curvature=curvature,
         known_optimum=np.ones(k),
         notes="chained sines with two-sided bounds rearranged to g <= 0")
 
@@ -272,6 +377,7 @@ def _ec_quadratic():
         inequalities=lambda t: np.zeros(0),
         equalities=lambda t: np.array([t[0] + t[1] - 2.0]),
         derivatives=derivatives,
+        curvature=lambda t, pi_e, pi_i, v: (np.eye(2), np.zeros((0, 2)), np.zeros((1, 2))),
         known_optimum=np.array([1.0, 1.0]))
 
 
@@ -285,6 +391,7 @@ def _unconstrained_quadratic(k):
         inequalities=lambda t: np.zeros(0),
         equalities=lambda t: np.zeros(0),
         derivatives=derivatives,
+        curvature=lambda t, pi_e, pi_i, v: (np.eye(k), np.zeros((0, k)), np.zeros((0, k))),
         known_optimum=np.zeros(k))
 
 

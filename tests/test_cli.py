@@ -49,7 +49,7 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert np.allclose(summary["pi_e_final"], [0.35, 0.70], atol=0.01)
     assert summary["seed"] == 7
     assert summary["config"]["theta0"] == [-4.8578, 3.8180, -2.7364]
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     assert summary["rejected_count"] > 0
 
 
@@ -132,6 +132,24 @@ def test_gain_matrix_from_file(tmp_path):
     assert np.allclose(summary["theta_final"], [1.0, 1.0], atol=1e-4)
 
 
+def test_stiff_run_reports_jacobian_count(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ec-quadratic", "--theta0", "0,0", "--method", "stiff",
+                 "--k-theta", "1", "--k-h", "1", "--t-end", "30", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["jacobian_count"] == summary["step_count"] > 0
+
+
+def test_wrong_size_gain_file_exits_2(tmp_path, capsys):
+    k_g = tmp_path / "k_g.txt"
+    np.savetxt(k_g, np.ones(4))      # example1 has 5 inequality rows
+    code = main(["run", "--problem", "example1", HARD_START, "--k-g-file", str(k_g),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "k_g" in err and "Traceback" not in err
+
+
 def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
     # a trial stage of the default rk45 stepper leaves the domain of log
     src = tmp_path / "log_edge.nlp"
@@ -155,4 +173,4 @@ def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "error:EvaluationError"
     assert "math domain error" in summary["error_detail"]
-    assert calls[0] == 24
+    assert calls[0] == 21

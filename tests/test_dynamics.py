@@ -11,13 +11,15 @@ from nlpflow.dynamics import (
     WorkingSet,
     classify,
     feasibility_lp,
+    flow_jacobian,
     pts_update,
     resolve_working_set,
     rhs_general,
 )
 from nlpflow.errors import InvalidInputError, NumericFailureError
+from nlpflow.integrate import fd_jacobian
 from nlpflow.linalg import projector_row
-from nlpflow.problems import EvalPoint, evaluate
+from nlpflow.problems import EvalPoint, curvature_at, evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
 
@@ -329,3 +331,48 @@ class TestFeasibilityLp:
         gains = GainSet.uniform(1, 0, 0)
         with pytest.raises(InvalidInputError):
             feasibility_lp(point, gains, box=1.0, activated=[])
+
+
+class TestFlowJacobian:
+    """The exact flow Jacobian against forward differences of rhs_general
+    with the working set frozen."""
+
+    def check(self, problem, theta, gains, working, rank):
+        ws = WorkingSet(activated=working, working=working)
+        point = evaluate(problem, theta)
+        res = rhs_general(point, gains, ws)
+        assert res.stacked_jacobian_rank == rank
+        jac = flow_jacobian(point, gains, res,
+                            lambda *args: curvature_at(problem, *args))
+        ref = fd_jacobian(lambda t: rhs_general(evaluate(problem, t), gains, ws).dtheta,
+                          theta, res.dtheta)
+        assert np.abs(jac - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+
+    def test_rank_deficient_gram(self):
+        # the duplicated equality leaves 4 stacked rows of rank 3: eigh branch
+        p = builtin("example1")
+        self.check(p, np.array([1.7, 0.8, 0.6]), GainSet.uniform(3, 2, 5, 0.1, 0.3, 0.7),
+                   working=(3, 4), rank=3)
+
+    def test_full_rank_gram(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("full-rank Gram should be solved by Cholesky")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        n = 10
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n))
+        k_theta = 0.1 * (a @ a.T / n + np.eye(n))
+        gains = GainSet(k_theta, 1.5 * np.eye(n - 1), rng.uniform(0.5, 2.0, 2 * n))
+        # the equality rows and one quadratic band row span R^n
+        self.check(builtin("example2", size=n), rng.uniform(0.7, 1.2, n), gains,
+                   working=(4,), rank=n)
+
+    def test_no_rows(self):
+        p = builtin("unconstrained-quadratic", size=3)
+        gains = GainSet(np.diag([0.5, 1.0, 2.0]), np.eye(0), np.zeros(0))
+        self.check(p, np.array([1.0, -2.0, 0.5]), gains, working=(), rank=0)
+        point = evaluate(p, np.ones(3))
+        res = rhs_general(point, gains, WorkingSet((), ()))
+        jac = flow_jacobian(point, gains, res, lambda *args: curvature_at(p, *args))
+        assert np.array_equal(jac, -gains.k_theta)

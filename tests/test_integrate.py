@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import nlpflow.dynamics
 import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
 from nlpflow.errors import EvaluationError, InvalidInputError, StepFailureError
@@ -228,8 +230,8 @@ class TestSolve:
         assert attempts[0] == traj.step_count + traj.rejected_count
 
     def test_accepted_points_are_evaluated_once(self):
-        # one evaluation at theta0, six new stages per attempt (stage 1 is
-        # the base point's snapshot), one per accepted point
+        # one evaluation at theta0 and six new stages per attempt: stage 1 is
+        # the base point's snapshot, and stage 7 lies on the accepted point
         p = builtin("example1")
         gains = GainSet.uniform(3, 2, 5)
         traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
@@ -237,7 +239,7 @@ class TestSolve:
                      pts_groups=[(0, 1, 2), (3, 4)])
         assert traj.verdict == "converged"
         attempts = traj.step_count + traj.rejected_count
-        assert traj.rhs_eval_count == 1 + 6 * attempts + traj.step_count
+        assert traj.rhs_eval_count == 1 + 6 * attempts
 
     def test_rejections_survive_an_error_verdict(self, monkeypatch):
         attempts = [0]
@@ -266,3 +268,59 @@ class TestSolve:
         assert traj.rejected_count > 0
         # the attempt that raised was neither accepted nor rejected
         assert traj.rejected_count == attempts[0] - traj.step_count - 1
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 5), (3, 1, 5), (3, 2, 4)])
+    def test_mismatched_gain_shapes_are_rejected(self, sizes):
+        p = builtin("example1")
+        with pytest.raises(InvalidInputError, match="needs"):
+            solve(p, np.array([-4.8578, 3.8180, -2.7364]), GainSet.uniform(*sizes))
+
+
+def count_calls(monkeypatch, module, name):
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStiffJacobian:
+    def test_one_flow_jacobian_per_base_point(self, monkeypatch):
+        fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
+        exact = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        n = 10
+        p = builtin("example2", size=n)
+        gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
+        traj = solve(p, np.linspace(2.0, 0.8, n), gains,
+                     integrator=IntegratorConfig(method="stiff", t_end=100.0))
+        assert traj.verdict == "converged"
+        assert fd[0] == 0
+        assert exact[0] == traj.jacobian_count == traj.step_count
+        rk45 = solve(p, np.linspace(2.0, 0.8, n), gains,
+                     integrator=IntegratorConfig(t_end=1.0, fixed_horizon=True))
+        assert rk45.jacobian_count == 0
+
+    def test_fallback_calls_the_solved_problems_derivatives(self):
+        # without a curvature oracle each Jacobian differences the derivative
+        # oracle n times, outside rhs_eval_count
+        n = 10
+        p = builtin("example2", size=n)
+        calls = [0]
+
+        def derivatives(theta):
+            calls[0] += 1
+            return p.derivatives(theta)
+
+        bare = dataclasses.replace(p, curvature=None, derivatives=derivatives)
+        gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
+        cfg = IntegratorConfig(method="stiff", t_end=100.0)
+        theta0 = np.linspace(2.0, 0.8, n)
+        traj = solve(bare, theta0, gains, integrator=cfg)
+        exact = solve(p, theta0, gains, integrator=cfg)
+        assert traj.verdict == exact.verdict == "converged"
+        assert calls[0] == traj.rhs_eval_count + n * traj.jacobian_count
+        assert np.abs(traj.final.theta - exact.final.theta).max() <= 1e-6

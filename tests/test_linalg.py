@@ -149,6 +149,27 @@ class TestPinv:
         assert np.allclose(sol, pinv(gram) @ [1.0, 2.0], rtol=1e-12)
 
 
+    def test_pinv_gram_matrix_rhs(self, monkeypatch):
+        """A matrix right-hand side gives G+ @ rhs on both branches."""
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 8))
+        rhs = rng.standard_normal((6, 5))
+        for gram, rank, eigh_calls in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
+            sol, got = pinv_gram(gram, rhs)
+            assert (got, calls[0]) == (rank, eigh_calls)
+            ref = pinv(gram) @ rhs
+            assert sol.shape == ref.shape
+            assert np.abs(sol - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 class TestProjectors:
     def test_full_row_rank_col_projector_is_identity(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from nlpflow.problems import (
     NlpProblem,
     builtin_names,
     check_derivatives,
+    curvature_at,
     evaluate,
     finite_difference_derivatives,
 )
@@ -158,3 +160,88 @@ class TestDerivativeValidation:
         f_grad, g_jac, h_jac = finite_difference_derivatives(p, theta)
         assert np.allclose(f_grad, theta, atol=1e-6)
         assert g_jac.shape == (0, 3) and h_jac.shape == (0, 3)
+
+
+def central_curvature(problem, theta, pi_e, pi_i, v, step=1e-6):
+    """(W, G_v, H_v) by central differences of the derivative oracle."""
+    n = problem.n
+    cols = []
+    for j in range(n):
+        d = step * max(1.0, abs(theta[j]))
+        e = np.zeros(n)
+        e[j] = d
+        hi, lo = problem.derivatives(theta + e), problem.derivatives(theta - e)
+        cols.append([(np.asarray(a) - np.asarray(b)) / (2 * d) for a, b in zip(hi, lo)])
+    w = np.column_stack([df + dg.T @ pi_i + dh.T @ pi_e for df, dg, dh in cols])
+    g_v = sum(v[j] * cols[j][1] for j in range(n))
+    h_v = sum(v[j] * cols[j][2] for j in range(n))
+    return w, g_v, h_v
+
+
+def random_second_order_args(problem, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.3, 1.7, size=problem.n)
+    return (theta, rng.standard_normal(problem.s), rng.standard_normal(problem.r),
+            rng.standard_normal(problem.n))
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("name,size", [
+        ("example1", None), ("example2", 12),
+        ("ec-quadratic", None), ("unconstrained-quadratic", 4)])
+    def test_matches_central_differences_of_derivatives(self, name, size):
+        p = builtin(name, size=size, validate=False)
+        for seed in range(5):
+            args = random_second_order_args(p, seed)
+            got = p.curvature(*args)
+            ref = central_curvature(p, *args)
+            for a, b in zip(got, ref):
+                assert np.shape(a) == np.shape(b)
+                assert np.abs(a - b).max(initial=0.0) <= 1e-6 * max(1.0, np.abs(b).max(initial=0.0))
+
+    def test_fallback_differences_the_derivative_oracle(self):
+        # no curvature oracle: n forward-difference calls of derivatives
+        p = builtin("example2", size=12, validate=False)
+        calls = [0]
+
+        def derivatives(theta):
+            calls[0] += 1
+            return p.derivatives(theta)
+
+        bare = dataclasses.replace(p, curvature=None, derivatives=derivatives)
+        theta, pi_e, pi_i, v = random_second_order_args(p, 3)
+        point = evaluate(p, theta)
+        got = curvature_at(bare, point, pi_e, pi_i, v)
+        assert calls[0] == p.n
+        for a, b in zip(got, p.curvature(theta, pi_e, pi_i, v)):
+            assert np.abs(a - b).max(initial=0.0) <= 1e-5 * max(1.0, np.abs(b).max(initial=0.0))
+
+    def test_fallback_keeps_evaluate_checks(self):
+        p = builtin("ec-quadratic")
+        bare = dataclasses.replace(
+            p, curvature=None,
+            derivatives=lambda t: (np.array([t[0], np.inf]), np.zeros((0, 2)), np.ones((1, 2))))
+        point = evaluate(p, np.ones(2))
+        with pytest.raises(EvaluationError):
+            curvature_at(bare, point, np.ones(1), np.zeros(0), np.ones(2))
+
+    def test_misshapen_curvature_is_an_evaluation_error(self):
+        p = builtin("example1")
+        bad = dataclasses.replace(p, curvature=lambda t, pi_e, pi_i, v: (
+            np.eye(2), np.zeros((5, 3)), np.zeros((2, 3))))
+        with pytest.raises(EvaluationError, match="lagrangian hessian"):
+            check_derivatives(bad)
+        with pytest.raises(EvaluationError, match="lagrangian hessian"):
+            curvature_at(bad, evaluate(p, OPT1), np.zeros(2), np.zeros(5), np.zeros(3))
+
+    @pytest.mark.parametrize("part,label", [(0, "lagrangian hessian"), (1, "ineq curvature")])
+    def test_wrong_curvature_fails_the_load_check(self, part, label):
+        p = builtin("example1")
+
+        def planted(theta, pi_e, pi_i, v):
+            terms = list(p.curvature(theta, pi_e, pi_i, v))
+            terms[part] = 1.01 * terms[part]
+            return terms
+
+        with pytest.raises(EvaluationError, match=label):
+            check_derivatives(dataclasses.replace(p, curvature=planted))
