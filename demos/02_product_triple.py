@@ -21,8 +21,6 @@ trajectory = nf.solve(problem, theta0, gains, integrator=config,
                       pts_groups=[(0, 1, 2), (3, 4)])
 
 print(f"start            : {theta0}")
-print(f"initial LP gamma : {trajectory.initial_lp_gamma:.4f}  "
-      "(<= 0 certifies the direction subproblem is solvable)")
 print(f"verdict          : {trajectory.verdict} "
       f"({trajectory.step_count} steps, {trajectory.rhs_eval_count} RHS evals)")
 

@@ -23,7 +23,7 @@ from .monitor import ToleranceSet
 from .problemfile import parse_problem
 from .problems import builtin, builtin_names
 
-SUMMARY_SCHEMA = 3
+SUMMARY_SCHEMA = 4
 
 
 def _fmt(x):
@@ -128,7 +128,6 @@ def _summary(problem, traj, config_echo, seed, wall_time):
         "rejected_count": traj.rejected_count,
         "rhs_eval_count": traj.rhs_eval_count,
         "jacobian_count": traj.jacobian_count,
-        "initial_lp_gamma": traj.initial_lp_gamma,
         "wall_time_s": wall_time,
         "seed": seed,
         "config": config_echo,

@@ -4,7 +4,8 @@ Given an evaluated point, this module classifies activated inequality
 constraints, settles the working subset treated as instantaneous equalities
 via an active-set loop, computes the multipliers through pseudo-inverse
 formulas, and produces d(theta)/d(tau).  A priority schedule over inequality
-groups and an auxiliary feasibility LP handle hard infeasible starts.
+groups handles hard infeasible starts; an auxiliary feasibility LP gives the
+verdict when the working set cannot settle.
 
 Everything here is a pure function of its arguments; solver state (working
 set warm start, priority schedule progress) is threaded explicitly.
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import CyclingError, InfeasibleSubproblemError, InvalidInputError
+from .errors import (CyclingError, InfeasibleSubproblemError, InvalidInputError,
+                     NumericFailureError)
 from .linalg import pinv_gram, rank_cutoff
 
 # a working multiplier below -_SIGN_TOL leaves the working set; an activated
@@ -184,7 +185,7 @@ def rhs_general(point, gains, ws):
         pi = -sol
         dtheta = -gains.k_theta @ (point.f_grad + hbar.T @ pi)
     if not np.all(np.isfinite(dtheta)) or not np.all(np.isfinite(pi)):
-        raise InvalidInputError("flow right-hand side produced non-finite values")
+        raise NumericFailureError("flow right-hand side produced non-finite values")
     if pi.size and np.linalg.norm(pi) > _MULTIPLIER_BOUND:
         warnings.warn(
             f"multiplier norm {np.linalg.norm(pi):.3e} exceeds bound "
@@ -291,6 +292,8 @@ def feasibility_lp(point, gains, box, activated):
     the direction-finding subproblem.  Rows whose gradient norm falls below
     the rank cutoff are excluded and reported.
     """
+    from scipy.optimize import linprog   # only a working set that fails to settle needs it
+
     n = point.theta.size
     s = point.h.size
     activated = sorted(activated)

@@ -23,16 +23,18 @@ from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFa
 from .problems import FD_REL_STEP, curvature_at, evaluate
 
 _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
+_H_INIT = 1e-3          # first step, as a fraction of t_end
+_H_MAX = 0.1            # step-size ceiling, as a fraction of t_end
 _MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
 _EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection, tolerances, and step-size limits.
+    """Stepper selection, tolerances, and horizon.
 
-    Defaults: ``h_init = 1e-3 * t_end``, ``h_max = t_end / 10``; steps never
-    fall below ``_H_MIN``.
+    The first step is ``_H_INIT * t_end`` and no step exceeds
+    ``_H_MAX * t_end``; steps never fall below ``_H_MIN``.
     ``fixed_horizon`` disables early termination on convergence, matching
     runs that integrate the full horizon for table reproduction.
     """
@@ -41,8 +43,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-3
     abs_tol: float = 1e-6
     t_end: float = 100.0
-    h_init: float | None = None
-    h_max: float | None = None
     fixed_horizon: bool = False
 
     def __post_init__(self):
@@ -50,14 +50,8 @@ class IntegratorConfig:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.t_end <= 0:
             raise InvalidInputError("tolerances and t_end must be positive")
-        if self.initial_step() < _H_MIN or self.initial_step() > self.max_step():
-            raise InvalidInputError(f"need {_H_MIN:g} <= h_init <= h_max")
-
-    def initial_step(self):
-        return 1e-3 * self.t_end if self.h_init is None else self.h_init
-
-    def max_step(self):
-        return self.t_end / 10.0 if self.h_max is None else self.h_max
+        if _H_INIT * self.t_end < _H_MIN:
+            raise InvalidInputError(f"t_end must be at least {_H_MIN / _H_INIT:g}")
 
 
 # --- Dormand-Prince 5(4) ---------------------------------------------------
@@ -194,7 +188,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
     """
     res = OdeResult() if result is None else result
     res.y = np.asarray(y0, dtype=float).copy()
-    h = min(config.initial_step(), config.max_step(), config.t_end)
+    h = _H_INIT * config.t_end
     stiff = config.method == "stiff"
     f0 = None
     while res.t < config.t_end and res.accepted + res.rejected < _MAX_STEPS:
@@ -215,7 +209,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
             res.y = y_new
             res.accepted += 1
             f0 = None
-            h = min(max(h_next, _H_MIN), config.max_step())
+            h = min(max(h_next, _H_MIN), _H_MAX * config.t_end)
             if callback is not None and callback(res.t, res.y, h):
                 break
         else:
@@ -248,6 +242,10 @@ class FlowState:
 class Trajectory:
     """Ordered snapshots plus the termination verdict.
 
+    ``verdict`` is ``converged`` once a snapshot meets every tolerance
+    (never under ``fixed_horizon``), ``horizon-reached`` at ``t_end``,
+    ``error:max-steps``, or ``error:<class>`` for an ``NlpflowError``, which
+    ``error`` keeps.
     ``rhs_eval_count`` counts evaluations at distinct flow points (one
     ``evaluate`` each).  ``jacobian_count`` counts stiff flow Jacobians; for
     a problem without a curvature oracle each of them also calls its
@@ -259,7 +257,6 @@ class Trajectory:
     step_count: int = 0
     rhs_eval_count: int = 0
     error: Exception | None = None
-    initial_lp_gamma: float | None = None
     rejected_count: int = 0
     jacobian_count: int = 0
 
@@ -338,23 +335,12 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
             working=warm, report=report,
             lyapunov=monitor.lyapunov_value(point, res.working_set.activated),
             objective=point.f))
-        verdict = monitor.decide(report, tols, tau, config.t_end)
-        if verdict != "continue" and not config.fixed_horizon:
-            traj.verdict = verdict
+        if tols.satisfied_by(report) and not config.fixed_horizon:
+            traj.verdict = "converged"
         return traj.verdict != "continue"
 
     try:
-        point0 = evaluate_at(theta0)
-        pts = dynamics.pts_update(pts, point0)
-        activated = dynamics.classify(point0, _EPS_ACT, pts).activated
-        if problem.s + len(activated) > 0:
-            try:
-                traj.initial_lp_gamma = dynamics.feasibility_lp(
-                    point0, gains, box=10.0 * (1.0 + float(np.abs(theta0).max())),
-                    activated=activated).gamma
-            except NlpflowError:
-                pass
-        if not snapshot(0.0, point0):
+        if not snapshot(0.0, evaluate_at(theta0)):
             integrate_ode(rhs, theta0, config, result=ode, jacobian=jacobian,
                           callback=lambda tau, theta, h: snapshot(tau, evaluate_at(theta)))
             if traj.verdict == "continue":

@@ -83,11 +83,3 @@ def lyapunov_value(point, activated, c1=1e-2):
     g_norm = float(np.linalg.norm(point.g[activated])) if activated else 0.0
     return float(np.linalg.norm(point.h)) + g_norm + c1 * point.f
 
-
-def decide(report, tolerances, tau, t_end):
-    """Termination verdict: 'converged', 'horizon-reached', or 'continue'."""
-    if tolerances.satisfied_by(report):
-        return "converged"
-    if tau >= t_end:
-        return "horizon-reached"
-    return "continue"

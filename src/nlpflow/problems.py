@@ -98,13 +98,17 @@ def evaluate(problem, theta):
     if not np.all(np.isfinite(theta)):
         raise InvalidInputError("theta contains non-finite entries")
 
-    f = float(problem.objective(theta))
-    _require_finite(f, "objective")
-    g = _shaped(problem.inequalities(theta), (problem.r,), "ineq")
-    h = _shaped(problem.equalities(theta), (problem.s,), "eq")
+    f, g, h = _values(problem, theta)
     f_grad, g_jac, h_jac = _derivatives(problem, theta)
-    return EvalPoint(theta=theta.copy(), f=f, f_grad=f_grad,
+    return EvalPoint(theta=theta.copy(), f=float(f), f_grad=f_grad,
                      g=g, g_jac=g_jac, h=h, h_jac=h_jac)
+
+
+def _values(problem, theta):
+    """f (a 0-d array), g and h at theta, shaped and checked finite."""
+    return (_shaped(problem.objective(theta), (), "objective"),
+            _shaped(problem.inequalities(theta), (problem.r,), "ineq"),
+            _shaped(problem.equalities(theta), (problem.s,), "eq"))
 
 
 def _derivatives(problem, theta):
@@ -206,13 +210,9 @@ def finite_difference_derivatives(problem, theta, step_scale=1e-6):
         hj = step_scale * max(1.0, abs(theta[j]))
         tp = theta.copy(); tp[j] += hj
         tm = theta.copy(); tm[j] -= hj
-        f_grad[j] = (problem.objective(tp) - problem.objective(tm)) / (2 * hj)
-        if problem.r:
-            g_jac[:, j] = (np.asarray(problem.inequalities(tp), dtype=float)
-                           - np.asarray(problem.inequalities(tm), dtype=float)) / (2 * hj)
-        if problem.s:
-            h_jac[:, j] = (np.asarray(problem.equalities(tp), dtype=float)
-                           - np.asarray(problem.equalities(tm), dtype=float)) / (2 * hj)
+        for out, plus, minus in zip((f_grad, g_jac, h_jac),
+                                    _values(problem, tp), _values(problem, tm)):
+            out[..., j] = (plus - minus) / (2 * hj)
     return f_grad, g_jac, h_jac
 
 

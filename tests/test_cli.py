@@ -49,7 +49,8 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert np.allclose(summary["pi_e_final"], [0.35, 0.70], atol=0.01)
     assert summary["seed"] == 7
     assert summary["config"]["theta0"] == [-4.8578, 3.8180, -2.7364]
-    assert summary["schema_version"] == 3
+    assert summary["schema_version"] == 4
+    assert "initial_lp_gamma" not in summary
     assert summary["rejected_count"] > 0
 
 

@@ -163,6 +163,12 @@ class TestRhsClosedForms:
             expected = -root @ (np.eye(n) - proj) @ root @ point.f_grad
             assert np.allclose(res.dtheta, expected, atol=1e-8)
 
+    def test_non_finite_flow_is_a_numeric_failure(self):
+        # valid finite input whose direction overflows
+        point = make_point([0.0], [1e308])
+        with np.errstate(over="ignore"), pytest.raises(NumericFailureError, match="non-finite"):
+            rhs_general(point, GainSet.uniform(1, 0, 0, k_theta=10.0), WorkingSet((), ()))
+
     def test_multiplier_bound_warning(self):
         point = evaluate(builtin("ec-quadratic"), np.array([0.0, 0.0]))
         gains = GainSet.uniform(2, 1, 0, k_theta=1e-8, k_h=1.0)

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,11 @@ import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
 from nlpflow.errors import EvaluationError, InvalidInputError, StepFailureError
 from nlpflow.integrate import fd_jacobian, step_rk45, step_stiff
+from nlpflow.monitor import ToleranceSet
 from nlpflow.problems import NlpProblem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def decay(y):
     return -y
@@ -21,9 +30,14 @@ def rotate(y):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = IntegratorConfig(t_end=200.0)
-        assert cfg.initial_step() == 0.2
-        assert cfg.max_step() == 20.0
+        # the first step is 1e-3 * t_end and no step exceeds t_end / 10
+        taus = [0.0]
+        res = integrate_ode(lambda y: np.ones(1), np.zeros(1), IntegratorConfig(t_end=200.0),
+                            callback=lambda t, y, h: taus.append(t))
+        steps = np.diff(taus)
+        assert res.t == 200.0
+        assert taus[1] == 0.2
+        assert steps.max() == pytest.approx(20.0, abs=1e-12)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidInputError):
@@ -34,10 +48,8 @@ class TestConfig:
             IntegratorConfig(rel_tol=0.0)
         with pytest.raises(InvalidInputError):
             IntegratorConfig(t_end=-1.0)
-
-    def test_rejects_inconsistent_steps(self):
         with pytest.raises(InvalidInputError):
-            IntegratorConfig(h_init=1.0, h_max=0.5)
+            IntegratorConfig(t_end=1e-10)   # a first step below the step-size floor
 
 
 class TestSteppers:
@@ -118,6 +130,8 @@ class TestSteppers:
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
     def test_evaluates_each_base_point_once(self, method):
         # stage 0 of every attempt (and the stiff Jacobian) share one evaluation
+        # per base point, however many attempts are rejected there; the last
+        # accepted point is never a base point
         y0 = np.array([0.0, 0.0])
         seen = []
 
@@ -125,9 +139,14 @@ class TestSteppers:
             seen.append(y.tobytes())
             return np.array([1.0, -1000.0 * (y[1] - math.cos(y[0]))])
 
-        res = integrate_ode(rhs, y0, IntegratorConfig(method=method, t_end=1.0, h_init=0.1))
+        res = integrate_ode(rhs, y0, IntegratorConfig(method=method, t_end=1.0))
+        attempts = res.accepted + res.rejected
         assert res.rejected > 0
         assert seen.count(y0.tobytes()) == 1
+        if method == "rk45":
+            assert len(seen) == res.accepted + 6 * attempts
+        else:
+            assert len(seen) == (1 + y0.size) * res.accepted + 5 * attempts
 
     def test_step_underflow_suggests_stiff_method(self):
         cfg = IntegratorConfig(method="rk45", t_end=1.0)
@@ -188,14 +207,51 @@ class TestSolve:
         assert traj.verdict == "error:EvaluationError"
         assert traj.error is not None
 
-    def test_initial_lp_diagnostic_recorded(self):
-        p = builtin("example1")
-        gains = GainSet.uniform(3, 2, 5)
-        cfg = IntegratorConfig(t_end=1.0, fixed_horizon=True)
-        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
-                     integrator=cfg, pts_groups=[(0, 1, 2), (3, 4)])
-        assert traj.initial_lp_gamma is not None
-        assert traj.initial_lp_gamma <= 0.0
+    def test_vector_objective_becomes_error_verdict(self):
+        bad = dataclasses.replace(builtin("example1"), objective=lambda t: np.ones(3))
+        traj = solve(bad, np.array([-4.8578, 3.8180, -2.7364]), GainSet.uniform(3, 2, 5))
+        assert traj.verdict == "error:EvaluationError"
+        assert traj.error.component == "objective"
+
+    def test_horizon_reached_without_fixed_horizon(self):
+        p = builtin("unconstrained-quadratic", size=2)
+        gains = GainSet.uniform(2, 0, 0, k_theta=1.0)
+        traj = solve(p, np.array([1.0, -1.0]), gains, integrator=IntegratorConfig(t_end=1.0))
+        assert traj.verdict == "horizon-reached"
+        assert traj.final.tau == 1.0
+        assert traj.final.report.stationarity > ToleranceSet().stationarity
+
+    def test_settled_solves_run_no_lp(self):
+        # the feasibility LP is a verdict for a working set that cannot settle,
+        # so solves that always settle never call it nor import scipy.optimize
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import nlpflow.cli
+            import nlpflow.dynamics
+            from nlpflow import GainSet, IntegratorConfig, builtin, solve
+
+            calls = [0]
+            lp = nlpflow.dynamics.feasibility_lp
+
+            def counted(*args, **kwargs):
+                calls[0] += 1
+                return lp(*args, **kwargs)
+
+            nlpflow.dynamics.feasibility_lp = counted
+            ex1 = solve(builtin("example1"), np.array([-4.8578, 3.8180, -2.7364]),
+                        GainSet.uniform(3, 2, 5), integrator=IntegratorConfig(t_end=300.0),
+                        pts_groups=[(0, 1, 2), (3, 4)])
+            n = 10
+            chain = solve(builtin("example2", size=n), np.linspace(2.0, 0.8, n),
+                          GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0),
+                          integrator=IntegratorConfig(method="stiff", t_end=100.0))
+            print(ex1.verdict, chain.verdict, calls[0], "scipy.optimize" in sys.modules)
+            """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.split() == ["converged", "converged", "0", "False"]
 
     def test_deterministic_replay_of_solve(self):
         p = builtin("example1")

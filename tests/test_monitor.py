@@ -4,7 +4,7 @@ import pytest
 from nlpflow import GainSet, builtin
 from nlpflow.dynamics import WorkingSet, classify, resolve_working_set, rhs_general
 from nlpflow.errors import InvalidInputError
-from nlpflow.monitor import KktReport, ToleranceSet, decide, kkt_report, lyapunov_value
+from nlpflow.monitor import KktReport, ToleranceSet, kkt_report, lyapunov_value
 from nlpflow.problems import evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
@@ -71,10 +71,3 @@ def test_lyapunov_requires_positive_weight():
     point = evaluate(builtin("ec-quadratic"), np.array([0.0, 0.0]))
     with pytest.raises(InvalidInputError):
         lyapunov_value(point, activated=(), c1=0.0)
-
-
-def test_decide_verdicts():
-    tols = ToleranceSet()
-    assert decide(zero_report(), tols, tau=1.0, t_end=10.0) == "converged"
-    assert decide(zero_report(stationarity=1.0), tols, 1.0, 10.0) == "continue"
-    assert decide(zero_report(stationarity=1.0), tols, 10.0, 10.0) == "horizon-reached"

@@ -154,6 +154,15 @@ class TestDerivativeValidation:
         with pytest.raises(EvaluationError):
             check_derivatives(wrong)
 
+    @pytest.mark.parametrize("part,value", [
+        ("objective", np.ones(3)), ("inequalities", np.zeros(4)), ("equalities", np.zeros(3))])
+    def test_misshapen_values_are_evaluation_errors(self, part, value):
+        bad = dataclasses.replace(builtin("example1"), **{part: lambda t: value})
+        with pytest.raises(EvaluationError, match="entries"):
+            check_derivatives(bad)
+        with pytest.raises(EvaluationError, match="entries"):
+            evaluate(bad, OPT1)
+
     def test_fd_oracle_on_quadratic(self):
         p = builtin("unconstrained-quadratic", size=3)
         theta = np.array([1.0, -2.0, 0.5])
