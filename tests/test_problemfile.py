@@ -138,3 +138,39 @@ def test_domain_errors_raise_evaluation_error(text):
     problem = parse_problem(text, validate=False)
     with pytest.raises(EvaluationError):
         evaluate(problem, np.zeros(1))
+
+
+# (expression, column of the fault within it, or None where only "inside" is pinned)
+REJECTED = [
+    ("x1 ** 2", None), ("0x1F", None), ("1_0", None), ("1j", None), ("x1.real", None),
+    ("x1[0]", None), ("__import__('os')", None), ("lambda: 1", None), ("x1 if x1 else x1", None),
+    ("(x1, x1)", None), ("sin(x1, x1)", None), ("sin(x=x1)", None), ("x1 % 2", 4),
+    ("x1 @ 2", 4), ("True", 1), ("2 ^ x1", 3), ("x0", 1),
+]
+
+SIN1 = math.sin(1.0)
+# (expression, value and derivative at x1 = 1.7), computed by hand
+ACCEPTED = [
+    ("x01", 1.7, 1.0), (".5*x1", 0.85, 0.5), ("1.*x1", 1.7, 1.0),
+    ("1E+3*x1", 1700.0, 1000.0), ("+x1", 1.7, 1.0), ("--x1", 1.7, 1.0),
+    ("x1^-2", 1.7 ** -2, -2.0 * 1.7 ** -3), ("x1^2^0.5", 1.7 ** math.sqrt(2),
+                                              math.sqrt(2) * 1.7 ** (math.sqrt(2) - 1)),
+    ("-x1^2", -2.89, -3.4), ("x1^sin(1)", 1.7 ** SIN1, SIN1 * 1.7 ** (SIN1 - 1)),
+]
+
+
+@pytest.mark.parametrize("expr, column", REJECTED)
+def test_grammar_rejects(expr, column):
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem(f"var 1\n# the objective\nmin {expr}\n")
+    assert exc.value.line == 3
+    assert 1 <= exc.value.column <= len(expr)
+    if column is not None:
+        assert exc.value.column == column
+
+
+@pytest.mark.parametrize("expr, value, slope", ACCEPTED)
+def test_grammar_accepts(expr, value, slope):
+    point = evaluate(parse_problem(f"var 1\nmin {expr}\n"), np.array([1.7]))
+    assert point.f == pytest.approx(value, rel=1e-14)
+    assert point.f_grad[0] == pytest.approx(slope, rel=1e-14)
