@@ -69,14 +69,11 @@ class Dual:
         return Dual(other * inv, -other * inv * inv * self.grad)
 
     def __pow__(self, exponent):
-        # constant exponents only; the DSL enforces this at parse time
+        # constant exponents only; the problem-file grammar enforces this
         p = float(exponent)
         if p == 0.0:
             return Dual(1.0, np.zeros_like(self.grad))
-        try:
-            base = self.value ** (p - 1.0)
-        except ZeroDivisionError as exc:
-            raise EvaluationError(f"{self.value!r} ** {p!r}: {exc}") from exc
+        base = power(self.value, p - 1.0)
         return Dual(base * self.value, p * base * self.grad)
 
 
@@ -107,6 +104,18 @@ def div(a, b):
         return a / b
     except ZeroDivisionError as exc:
         raise EvaluationError(f"division by zero: {exc}") from exc
+
+
+def power(a, p):
+    """``a ** p`` on floats or Duals, p constant; a ``0 ** -1``, an overflow or
+    a complex result (negative base, fractional p) is an EvaluationError."""
+    try:
+        result = a ** p
+    except ArithmeticError as exc:
+        raise EvaluationError(f"{a!r} ** {p!r}: {exc}") from exc
+    if isinstance(result, complex):
+        raise EvaluationError(f"{a!r} ** {p!r} is not real")
+    return result
 
 
 sin = _lift(math.sin, math.cos)

@@ -181,7 +181,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
     ``f0 = rhs(y)`` is computed once per base point and shared by every
     attempt from it.  The stiff stepper's Jacobian, also one per base point,
     is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
-    ``callback(t, y, h_used)`` runs after each accepted step; returning True
+    ``callback(t, y)`` runs after each accepted step; returning True
     stops the integration early.  Progress is kept in ``result`` (a new
     OdeResult when None), so a caller passing its own still reads the step
     counts when a step raises.
@@ -210,7 +210,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
             res.accepted += 1
             f0 = None
             h = min(max(h_next, _H_MIN), _H_MAX * config.t_end)
-            if callback is not None and callback(res.t, res.y, h):
+            if callback is not None and callback(res.t, res.y):
                 break
         else:
             res.rejected += 1
@@ -342,7 +342,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
             integrate_ode(rhs, theta0, config, result=ode, jacobian=jacobian,
-                          callback=lambda tau, theta, h: snapshot(tau, evaluate_at(theta)))
+                          callback=lambda tau, theta: snapshot(tau, evaluate_at(theta)))
             if traj.verdict == "continue":
                 traj.verdict = ("horizon-reached" if ode.t >= config.t_end
                                 else "error:max-steps")

@@ -8,12 +8,20 @@ One declaration per line:
     ineq x1 + x3 - 2      # meaning  x1 + x3 - 2 <= 0
     eq x1 - x2            # meaning  x1 - x2 = 0
 
-Supported functions: sin, cos, exp, log, sqrt.  The power operator ``^``
-requires a constant exponent.  Numeric literals may use scientific notation.
+An expression is read by Python's own parser, with ``^`` for the power.  It
+may use the variables, decimal numbers (``2``, ``.5``, ``1.``, ``1E+3``),
+parentheses, ``+ - * /``, unary ``-`` and ``+``, ``^`` with an exponent free
+of variables, and the functions sin, cos, exp, log, sqrt of one argument.
+Anything else is a ProblemParseError at its line and column: ``**``, other
+operators (``%``, ``//``, ``@``, comparisons), other literals (``0x1F``,
+``1_0``, ``01``, ``1j``, ``True``, strings), other names, attributes,
+subscripts, keyword or extra arguments, lambdas, conditionals, tuples, and
+characters outside printable ASCII.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 
 import numpy as np
@@ -29,251 +37,128 @@ _FUNCTIONS = {
     "log": autodiff.log,
     "sqrt": autodiff.sqrt,
 }
+# what compiled expressions see: the lifts, the two checked operators, no builtins
+_NAMESPACE = {"__builtins__": {}, **_FUNCTIONS,
+              "_div": autodiff.div, "_power": autodiff.power}
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-
-# --- expression AST --------------------------------------------------------
-
-class _Node:
-    def __call__(self, env):
-        raise NotImplementedError
-
-    def to_text(self):
-        raise NotImplementedError
+_NUMBER_RE = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
+_VAR_RE = re.compile(r"x(\d+)")
+_BAD_CHAR_RE = re.compile(r"[^\t -~]")
+_CLOSING_RE = re.compile(r"[\s)]*")
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-class _Num(_Node):
-    def __init__(self, value):
-        self.value = float(value)
+class _Checker(ast.NodeTransformer):
+    """Admit the grammar and rewrite it to run on floats and Duals.
 
-    def __call__(self, env):
-        return self.value
+    ``xK`` becomes ``x[K-1]``, a number a float, ``a / b`` and ``a ^ b``
+    calls of autodiff.div and autodiff.power, and unary ``+`` is dropped
+    (Dual has no ``__pos__``).  Every other node is a ProblemParseError.
+    """
 
-    def to_text(self):
-        return repr(self.value)
-
-
-class _Var(_Node):
-    def __init__(self, index):
-        self.index = index   # zero-based
-
-    def __call__(self, env):
-        return env[self.index]
-
-    def to_text(self):
-        return f"x{self.index + 1}"
-
-
-class _Bin(_Node):
-    _OPS = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": autodiff.div,
-    }
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.fn = self._OPS[op]
-        self.left = left
-        self.right = right
-
-    def __call__(self, env):
-        return self.fn(self.left(env), self.right(env))
-
-    def to_text(self):
-        return f"({self.left.to_text()} {self.op} {self.right.to_text()})"
-
-
-class _Neg(_Node):
-    def __init__(self, operand):
-        self.operand = operand
-
-    def __call__(self, env):
-        return -self.operand(env)
-
-    def to_text(self):
-        return f"(-{self.operand.to_text()})"
-
-
-class _Pow(_Node):
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = float(exponent)
-
-    def __call__(self, env):
-        return self.base(env) ** self.exponent
-
-    def to_text(self):
-        return f"({self.base.to_text()} ^ {repr(self.exponent)})"
-
-
-class _Call(_Node):
-    def __init__(self, name, argument):
-        self.name = name
-        self.fn = _FUNCTIONS[name]
-        self.argument = argument
-
-    def __call__(self, env):
-        return self.fn(self.argument(env))
-
-    def to_text(self):
-        return f"{self.name}({self.argument.to_text()})"
-
-
-def _contains_var(node):
-    if isinstance(node, _Var):
-        return True
-    children = []
-    if isinstance(node, _Bin):
-        children = [node.left, node.right]
-    elif isinstance(node, (_Neg,)):
-        children = [node.operand]
-    elif isinstance(node, _Pow):
-        children = [node.base]
-    elif isinstance(node, _Call):
-        children = [node.argument]
-    return any(_contains_var(c) for c in children)
-
-
-def _const_value(node, line, column):
-    if _contains_var(node):
-        raise ProblemParseError("exponent must be a constant expression",
-                                line, column)
-    return node(())
-
-
-# --- tokenizer / parser ----------------------------------------------------
-
-class _Tokenizer:
-    def __init__(self, text, line):
+    def __init__(self, source, line, n_vars):
+        self.source = source          # with "^" written as "**"
         self.line = line
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ProblemParseError(f"unexpected character {text[pos]!r}",
-                                        line, pos + 1)
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), pos + 1))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", "", len(self.tokens) and self.tokens[-1][2] or 1)
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, col = self.next()
-        if kind != "op" or value != op:
-            raise ProblemParseError(f"expected {op!r}, got {value or 'end of line'!r}",
-                                    self.line, col)
-
-
-class _Parser:
-    """Recursive descent over + - * / ^ with standard precedence."""
-
-    def __init__(self, tokens, n_vars):
-        self.t = tokens
         self.n_vars = n_vars
 
-    def parse(self):
-        node = self.expr()
-        kind, value, col = self.t.peek()
-        if kind != "eof":
-            raise ProblemParseError(f"unexpected trailing {value!r}",
-                                    self.t.line, col)
+    def fail(self, message, offset):
+        # columns count in the text as written, where each "**" was one "^"
+        column = offset - self.source[:offset].count("**") + 1
+        return ProblemParseError(message, self.line, column)
+
+    def text(self, node):
+        return self.source[node.col_offset:node.end_col_offset].replace("**", "^")
+
+    def generic_visit(self, node):
+        raise self.fail(f"unsupported expression {self.text(node)!r}", node.col_offset)
+
+    def visit_BinOp(self, node):
+        op_offset = _CLOSING_RE.match(self.source, node.left.end_col_offset).end()
+        if not isinstance(node.op, _OPERATORS):
+            raise self.fail(f"unsupported operator {type(node.op).__name__}", op_offset)
+        node.left, node.right = self.visit(node.left), self.visit(node.right)
+        if isinstance(node.op, ast.Pow):
+            if any(isinstance(n, ast.Subscript) for n in ast.walk(node.right)):
+                raise self.fail("exponent must be a constant expression", op_offset)
+            return _call("_power", node)
+        return _call("_div", node) if isinstance(node.op, ast.Div) else node
+
+    def visit_UnaryOp(self, node):
+        if not isinstance(node.op, (ast.UAdd, ast.USub)):
+            return self.generic_visit(node)
+        node.operand = self.visit(node.operand)
+        return node if isinstance(node.op, ast.USub) else node.operand
+
+    def visit_Call(self, node):
+        name = self.source[node.col_offset:node.func.end_col_offset]
+        if name not in _FUNCTIONS:
+            raise self.fail(f"unknown function {name!r}", node.col_offset)
+        if node.keywords:
+            raise self.fail(f"{name} takes no keyword arguments", node.keywords[0].col_offset)
+        if len(node.args) != 1:
+            where = node.args[1] if node.args else node
+            raise self.fail(f"{name} takes exactly one argument", where.col_offset)
+        node.args = [self.visit(node.args[0])]
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.t.peek()
-            if kind == "op" and value in "+-":
-                self.t.next()
-                node = _Bin(value, node, self.term())
-            else:
-                return node
+    def visit_Name(self, node):
+        m = _VAR_RE.fullmatch(node.id)
+        if m is None:
+            raise self.fail(f"unknown identifier {node.id!r}", node.col_offset)
+        index = int(m.group(1))
+        if not 1 <= index <= self.n_vars:
+            raise self.fail(f"variable {node.id} out of range; declared var {self.n_vars}",
+                            node.col_offset)
+        return ast.copy_location(
+            ast.Subscript(ast.Name("x", ast.Load()), ast.Constant(index - 1), ast.Load()), node)
 
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, value, _ = self.t.peek()
-            if kind == "op" and value in "*/":
-                self.t.next()
-                node = _Bin(value, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, value, _ = self.t.peek()
-        if kind == "op" and value == "-":
-            self.t.next()
-            return _Neg(self.unary())
-        if kind == "op" and value == "+":
-            self.t.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, value, col = self.t.peek()
-        if kind == "op" and value == "^":
-            self.t.next()
-            exponent = self.unary()   # right associative
-            node = _Pow(node, _const_value(exponent, self.t.line, col))
-        return node
-
-    def atom(self):
-        kind, value, col = self.t.next()
-        if kind == "num":
-            return _Num(value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                self.t.expect_op("(")
-                arg = self.expr()
-                self.t.expect_op(")")
-                return _Call(value, arg)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m is None:
-                raise ProblemParseError(f"unknown identifier {value!r}",
-                                        self.t.line, col)
-            index = int(m.group(1))
-            if not 1 <= index <= self.n_vars:
-                raise ProblemParseError(
-                    f"variable {value} out of range; declared var {self.n_vars}",
-                    self.t.line, col)
-            return _Var(index - 1)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.t.expect_op(")")
-            return node
-        raise ProblemParseError(
-            f"expected a value, got {value or 'end of line'!r}",
-            self.t.line, col)
+    def visit_Constant(self, node):
+        text = self.text(node)
+        if not _NUMBER_RE.fullmatch(text):
+            raise self.fail(f"unsupported literal {text!r}", node.col_offset)
+        return ast.copy_location(ast.Constant(float(text)), node)
 
 
-# --- file level ------------------------------------------------------------
+def _call(name, node):
+    return ast.copy_location(
+        ast.Call(ast.Name(name, ast.Load()), [node.left, node.right], []), node)
+
+
+def _expression(text, line, n_vars):
+    """The checked tree of one expression, ready to compile."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ProblemParseError(f"unexpected character {bad.group()!r}", line, bad.start() + 1)
+    if "**" in text:
+        raise ProblemParseError("write powers with ^", line, text.index("**") + 1)
+    source = text.replace("^", "**")
+    checker = _Checker(source, line, n_vars)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        offset = max(min(exc.offset - 1 if exc.offset else len(source), len(source) - 1), 0)
+        raise checker.fail(f"syntax error: {exc.msg}", offset) from None
+    return checker.visit(tree.body)
+
+
+def _function(trees):
+    """Compile expression trees into one ``x -> [value, ...]``."""
+    code = ast.parse("lambda x: []", mode="eval")
+    code.body.body.elts = trees
+    return eval(compile(ast.fix_missing_locations(code), "<problem>", "eval"), _NAMESPACE)
+
+
+def _jacobian(values, n):
+    """The gradients of dual ``values`` as rows; a value free of x has a zero row."""
+    return np.array([v.grad if isinstance(v, autodiff.Dual) else np.zeros(n)
+                     for v in values]).reshape(len(values), n)
+
 
 def parse_problem(text, name="problem", validate=True):
     """Parse problem-file text into an NlpProblem with dual-number derivatives."""
-    n_vars = None
-    objective = None
-    ineqs = []
-    eqs = []
+    n = None
+    sources = {"min": [], "ineq": [], "eq": []}
+    trees = {"min": [], "ineq": [], "eq": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -281,83 +166,61 @@ def parse_problem(text, name="problem", validate=True):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "var":
-            if n_vars is not None:
+            if n is not None:
                 raise ProblemParseError("duplicate var declaration", lineno, 1)
             if not rest.isdigit() or int(rest) < 1:
                 raise ProblemParseError(f"var takes a positive integer, got {rest!r}",
                                         lineno, 5)
-            n_vars = int(rest)
+            n = int(rest)
             continue
-        if keyword not in ("min", "ineq", "eq"):
+        if keyword not in sources:
             raise ProblemParseError(f"unknown declaration {keyword!r}", lineno, 1)
-        if n_vars is None:
+        if n is None:
             raise ProblemParseError("var must be declared before expressions",
                                     lineno, 1)
-        node = _Parser(_Tokenizer(rest, lineno), n_vars).parse()
-        if keyword == "min":
-            if objective is not None:
-                raise ProblemParseError("duplicate min declaration", lineno, 1)
-            objective = node
-        elif keyword == "ineq":
-            ineqs.append(node)
-        else:
-            eqs.append(node)
+        if keyword == "min" and sources["min"]:
+            raise ProblemParseError("duplicate min declaration", lineno, 1)
+        trees[keyword].append(_expression(rest, lineno, n))
+        sources[keyword].append(rest)
 
-    if n_vars is None:
+    if n is None:
         raise ProblemParseError("missing var declaration", 1, 1)
-    if objective is None:
+    if not sources["min"]:
         raise ProblemParseError("missing min declaration", 1, 1)
 
-    problem = _compile(name, n_vars, objective, ineqs, eqs)
+    f_fn, g_fn, h_fn = (_function(trees[k]) for k in sources)
+
+    def objective(theta):
+        return float(f_fn(theta)[0])
+
+    def inequalities(theta):
+        return np.array(g_fn(theta), dtype=float)
+
+    def equalities(theta):
+        return np.array(h_fn(theta), dtype=float)
+
+    def derivatives(theta):
+        duals = autodiff.seed(theta)
+        return (_jacobian(f_fn(duals), n)[0], _jacobian(g_fn(duals), n),
+                _jacobian(h_fn(duals), n))
+
+    problem = NlpProblem(name=name, n=n, r=len(trees["ineq"]), s=len(trees["eq"]),
+                         objective=objective, inequalities=inequalities,
+                         equalities=equalities, derivatives=derivatives)
+    # keep the text as written so serialize_problem can round-trip
+    object.__setattr__(problem, "_sources", sources)
     if validate:
         check_derivatives(problem)
     return problem
 
 
-def _compile(name, n, objective_ast, ineq_asts, eq_asts):
-    r, s = len(ineq_asts), len(eq_asts)
-
-    def objective(theta):
-        return float(objective_ast(theta))
-
-    def inequalities(theta):
-        return np.array([node(theta) for node in ineq_asts], dtype=float)
-
-    def equalities(theta):
-        return np.array([node(theta) for node in eq_asts], dtype=float)
-
-    def derivatives(theta):
-        duals = autodiff.seed(theta)
-        f = objective_ast(duals)
-        f_grad = f.grad if isinstance(f, autodiff.Dual) else np.zeros(n)
-        g_jac = np.zeros((r, n))
-        for i, node in enumerate(ineq_asts):
-            v = node(duals)
-            if isinstance(v, autodiff.Dual):
-                g_jac[i] = v.grad
-        h_jac = np.zeros((s, n))
-        for i, node in enumerate(eq_asts):
-            v = node(duals)
-            if isinstance(v, autodiff.Dual):
-                h_jac[i] = v.grad
-        return f_grad, g_jac, h_jac
-
-    problem = NlpProblem(name=name, n=n, r=r, s=s,
-                         objective=objective, inequalities=inequalities,
-                         equalities=equalities, derivatives=derivatives)
-    # keep the ASTs around so serialize_problem can round-trip
-    object.__setattr__(problem, "_asts", (objective_ast, ineq_asts, eq_asts))
-    return problem
-
-
 def serialize_problem(problem):
-    """Render a parsed problem back to problem-file text."""
+    """Render a parsed problem back to problem-file text, expressions as written."""
     try:
-        objective_ast, ineq_asts, eq_asts = problem._asts
+        sources = problem._sources
     except AttributeError:
         raise ProblemParseError(
             "only problems built by parse_problem can be serialized")
-    lines = [f"var {problem.n}", f"min {objective_ast.to_text()}"]
-    lines += [f"ineq {node.to_text()}" for node in ineq_asts]
-    lines += [f"eq {node.to_text()}" for node in eq_asts]
+    lines = [f"var {problem.n}"]
+    lines += [f"{keyword} {text}" for keyword, texts in sources.items() for text in texts]
     return "\n".join(lines) + "\n"

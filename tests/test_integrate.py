@@ -33,7 +33,7 @@ class TestConfig:
         # the first step is 1e-3 * t_end and no step exceeds t_end / 10
         taus = [0.0]
         res = integrate_ode(lambda y: np.ones(1), np.zeros(1), IntegratorConfig(t_end=200.0),
-                            callback=lambda t, y, h: taus.append(t))
+                            callback=lambda t, y: taus.append(t))
         steps = np.diff(taus)
         assert res.t == 200.0
         assert taus[1] == 0.2

@@ -5,7 +5,8 @@ import pytest
 
 from nlpflow import builtin, parse_problem, serialize_problem
 from nlpflow.errors import EvaluationError, ProblemParseError
-from nlpflow.problems import evaluate
+from nlpflow.cli import main
+from nlpflow.problems import curvature_at, evaluate
 
 EC_QUADRATIC_TEXT = """\
 # equality-constrained quadratic
@@ -125,6 +126,20 @@ def test_round_trip():
     assert_equivalent(original, reparsed, seed=1)
 
 
+def test_serialization_is_a_fixed_point():
+    # the chained-sine problem at n = 4, rows as the builtin example2 orders them
+    shift, pi = repr(1.5 * math.pi), repr(math.pi)
+    terms = [f"sin(x1 - 1 + {shift})"]
+    terms += [f"100 * sin(-x{i} + {shift} + x{i - 1}^2)" for i in range(2, 5)]
+    lines = ["var 4", "min " + " + ".join(terms), "ineq x1 - 1.5", "ineq 0.5 - x1"]
+    for i in range(2, 5):
+        lines += [f"ineq x{i - 1}^2 - x{i} - {pi}", f"ineq -{pi} - (x{i - 1}^2 - x{i})"]
+    lines += [f"eq x{i} - x{i + 1}" for i in range(1, 4)]
+    rendered = serialize_problem(parse_problem("# chain\n" + "\n".join(lines)))
+    assert serialize_problem(parse_problem(rendered)) == rendered
+    assert_equivalent(parse_problem(rendered), builtin("example2", size=4), atol=1e-9)
+
+
 def test_serialize_requires_parsed_problem():
     with pytest.raises(ProblemParseError):
         serialize_problem(builtin("ec-quadratic"))
@@ -174,3 +189,24 @@ def test_grammar_accepts(expr, value, slope):
     point = evaluate(parse_problem(f"var 1\nmin {expr}\n"), np.array([1.7]))
     assert point.f == pytest.approx(value, rel=1e-14)
     assert point.f_grad[0] == pytest.approx(slope, rel=1e-14)
+
+
+def test_constant_zero_to_negative_power_exits_cleanly(tmp_path, capsys):
+    src = tmp_path / "pole.nlp"
+    src.write_text("var 1\nmin x1 + 0^-1\n")
+    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 0.0 ** -1.0")
+
+
+def test_complex_power_in_curvature_fallback_is_evaluation_error():
+    # the forward-difference step passes x1 = 1, where the base 1 - x1 turns negative
+    problem = parse_problem("var 1\nmin (1 - x1)^1.5\n", validate=False)
+    point = evaluate(problem, np.array([1 - 1e-9]))
+    with pytest.raises(EvaluationError):
+        curvature_at(problem, point, np.zeros(0), np.zeros(0), np.ones(1))
+
+
+def test_overflowing_power_in_derivatives_is_evaluation_error():
+    problem = parse_problem("var 1\nmin x1^3\n", validate=False)
+    with pytest.raises(EvaluationError):
+        problem.derivatives(np.array([1e200]))
