@@ -1,7 +1,8 @@
 """Define a problem in the text format and solve it.
 
 Derivatives come from forward-mode dual numbers, so anything the grammar can
-express gets exact gradients for free.  The parsed form also serializes back
+express gets exact gradients, and exact second-order terms for the stiff
+stepper, for free.  The parsed form also serializes back
 to text, which round-trips.
 """
 

@@ -247,9 +247,10 @@ class Trajectory:
     ``error:max-steps``, or ``error:<class>`` for an ``NlpflowError``, which
     ``error`` keeps.
     ``rhs_eval_count`` counts evaluations at distinct flow points (one
-    ``evaluate`` each).  ``jacobian_count`` counts stiff flow Jacobians; for
-    a problem without a curvature oracle each of them also calls its
-    derivative oracle n times, which ``rhs_eval_count`` does not include.
+    ``evaluate`` each).  ``jacobian_count`` counts stiff flow Jacobians.
+    Builtin and parsed problems have a curvature oracle; for a hand-built
+    problem without one, each Jacobian also calls its derivative oracle n
+    times, which ``rhs_eval_count`` does not include.
     """
 
     samples: list = field(default_factory=list)

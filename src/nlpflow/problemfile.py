@@ -56,14 +56,15 @@ class _Checker(ast.NodeTransformer):
     (Dual has no ``__pos__``).  Every other node is a ProblemParseError.
     """
 
-    def __init__(self, source, line, n_vars):
+    def __init__(self, source, line, n_vars, start):
         self.source = source          # with "^" written as "**"
         self.line = line
         self.n_vars = n_vars
+        self.start = start            # where the expression begins in its line
 
     def fail(self, message, offset):
-        # columns count in the text as written, where each "**" was one "^"
-        column = offset - self.source[:offset].count("**") + 1
+        # columns count in the line as written, where each "**" was one "^"
+        column = self.start + offset - self.source[:offset].count("**") + 1
         return ProblemParseError(message, self.line, column)
 
     def text(self, node):
@@ -124,21 +125,28 @@ def _call(name, node):
         ast.Call(ast.Name(name, ast.Load()), [node.left, node.right], []), node)
 
 
-def _expression(text, line, n_vars):
-    """The checked tree of one expression, ready to compile."""
+def _expression(text, line, n_vars, start):
+    """The checked tree of one expression, ready to compile.  ``start`` is the
+    expression's offset in its line, so that error columns count from the
+    start of the line."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
-        raise ProblemParseError(f"unexpected character {bad.group()!r}", line, bad.start() + 1)
+        raise ProblemParseError(f"unexpected character {bad.group()!r}", line,
+                                start + bad.start() + 1)
     if "**" in text:
-        raise ProblemParseError("write powers with ^", line, text.index("**") + 1)
+        raise ProblemParseError("write powers with ^", line, start + text.index("**") + 1)
     source = text.replace("^", "**")
-    checker = _Checker(source, line, n_vars)
+    checker = _Checker(source, line, n_vars, start)
+    # ast.parse and the checker recurse per nesting level; compile runs out of
+    # stack only at about twice the depth the checker does, so not on a checked tree
     try:
-        tree = ast.parse(source, mode="eval")
+        return checker.visit(ast.parse(source, mode="eval").body)
     except SyntaxError as exc:
         offset = max(min(exc.offset - 1 if exc.offset else len(source), len(source) - 1), 0)
         raise checker.fail(f"syntax error: {exc.msg}", offset) from None
-    return checker.visit(tree.body)
+    except RecursionError:
+        raise ProblemParseError("expression too long or too deeply nested",
+                                line, start + 1) from None
 
 
 def _function(trees):
@@ -154,8 +162,18 @@ def _jacobian(values, n):
                      for v in values]).reshape(len(values), n)
 
 
+def _hessians(values, n):
+    """The Hessians of Dual2 ``values`` stacked; a value free of x has a zero one."""
+    out = np.zeros((len(values), n, n))
+    for row, v in zip(out, values):
+        if isinstance(v, autodiff.Dual2):
+            row[...] = v.hess
+    return out
+
+
 def parse_problem(text, name="problem", validate=True):
-    """Parse problem-file text into an NlpProblem with dual-number derivatives."""
+    """Parse problem-file text into an NlpProblem whose derivative and
+    curvature oracles propagate first- and second-order dual numbers."""
     n = None
     sources = {"min": [], "ineq": [], "eq": []}
     trees = {"min": [], "ineq": [], "eq": []}
@@ -165,22 +183,25 @@ def parse_problem(text, name="problem", validate=True):
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
+        # columns count from the start of the raw line, indentation included
+        column = raw.index(keyword) + 1
+        start = raw.index(rest, column - 1 + len(keyword))
         if keyword == "var":
             if n is not None:
-                raise ProblemParseError("duplicate var declaration", lineno, 1)
+                raise ProblemParseError("duplicate var declaration", lineno, column)
             if not rest.isdigit() or int(rest) < 1:
                 raise ProblemParseError(f"var takes a positive integer, got {rest!r}",
-                                        lineno, 5)
+                                        lineno, start + 1)
             n = int(rest)
             continue
         if keyword not in sources:
-            raise ProblemParseError(f"unknown declaration {keyword!r}", lineno, 1)
+            raise ProblemParseError(f"unknown declaration {keyword!r}", lineno, column)
         if n is None:
             raise ProblemParseError("var must be declared before expressions",
-                                    lineno, 1)
+                                    lineno, column)
         if keyword == "min" and sources["min"]:
-            raise ProblemParseError("duplicate min declaration", lineno, 1)
-        trees[keyword].append(_expression(rest, lineno, n))
+            raise ProblemParseError("duplicate min declaration", lineno, column)
+        trees[keyword].append(_expression(rest, lineno, n, start))
         sources[keyword].append(rest)
 
     if n is None:
@@ -204,9 +225,16 @@ def parse_problem(text, name="problem", validate=True):
         return (_jacobian(f_fn(duals), n)[0], _jacobian(g_fn(duals), n),
                 _jacobian(h_fn(duals), n))
 
+    def curvature(theta, pi_e, pi_i, v):
+        duals = autodiff.seed2(theta)
+        h_f, h_g, h_h = (_hessians(fn(duals), n) for fn in (f_fn, g_fn, h_fn))
+        w = h_f[0] + np.tensordot(pi_i, h_g, 1) + np.tensordot(pi_e, h_h, 1)
+        return w, h_g @ v, h_h @ v
+
     problem = NlpProblem(name=name, n=n, r=len(trees["ineq"]), s=len(trees["eq"]),
                          objective=objective, inequalities=inequalities,
-                         equalities=equalities, derivatives=derivatives)
+                         equalities=equalities, derivatives=derivatives,
+                         curvature=curvature)
     # keep the text as written so serialize_problem can round-trip
     object.__setattr__(problem, "_sources", sources)
     if validate:

@@ -9,7 +9,9 @@ are supplied analytically (builtins) or by dual-number propagation (parsed
 problems); central finite differences act only as a registration-time
 cross-check.  Second-order terms, which the stiff stepper's flow Jacobian
 needs, come from an optional curvature oracle (hand-written for the
-builtins) or else from forward differences of the derivative oracle.
+builtins, second-order dual numbers for parsed problems).  Only a problem
+built without one gets them from forward differences of the derivative
+oracle.
 """
 
 from __future__ import annotations

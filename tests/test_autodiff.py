@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlpflow import autodiff
-from nlpflow.autodiff import Dual, seed
+from nlpflow.autodiff import Dual, seed, seed2
 from nlpflow.errors import EvaluationError
 
 
@@ -102,3 +102,44 @@ def test_domain_errors_become_evaluation_errors():
     assert autodiff.div(x, 2.0).value == -0.5
     with pytest.raises(EvaluationError):
         Dual(0.0, [1.0]) ** 0.5
+
+
+SECOND_ORDER_CASES = {
+    "add": lambda x, y: x * y + x + 2.0 + (1.5 + y),
+    "sub": lambda x, y: x * y - y * y - 2.0 - (1.5 - x * x),
+    "neg": lambda x, y: -(x * y),
+    "mul": lambda x, y: (x * x) * (y * x) * 3.0 * (2.0 * y),
+    "truediv": lambda x, y: (x * y) / (y * y + x) / 4.0 + 2.0 / (x * y),
+    "div": lambda x, y: autodiff.div(x * x, x * y + 1.0),
+    "power 2": lambda x, y: autodiff.power(x * y + x, 2),
+    "power 0.5": lambda x, y: autodiff.power(x * y + x, 0.5),
+    "power -1": lambda x, y: autodiff.power(x * y + x, -1),
+    "power 3.7": lambda x, y: autodiff.power(x * y + x, 3.7),
+    "sin": lambda x, y: autodiff.sin(x * y),
+    "cos": lambda x, y: autodiff.cos(x * y),
+    "exp": lambda x, y: autodiff.exp(x * y),
+    "log": lambda x, y: autodiff.log(x * y),
+    "sqrt": lambda x, y: autodiff.sqrt(x * y),
+}
+
+
+@pytest.mark.parametrize("name", SECOND_ORDER_CASES)
+def test_second_order_matches_differenced_gradients(name):
+    fn = SECOND_ORDER_CASES[name]
+    point, eps = np.array([0.7, 1.3]), 1e-5
+    d2 = fn(*seed2(point))
+    first = fn(*seed(point))
+    assert d2.value == pytest.approx(first.value, rel=1e-14)
+    assert np.allclose(d2.grad, first.grad, rtol=1e-14, atol=0.0)
+    fd = np.column_stack([(fn(*seed(point + eps * e)).grad - fn(*seed(point - eps * e)).grad)
+                          / (2 * eps) for e in np.eye(2)])
+    assert np.array_equal(d2.hess, d2.hess.T)
+    assert np.allclose(d2.hess, fd, rtol=1e-7, atol=1e-8)
+
+
+def test_second_order_linear_values_keep_a_scalar_zero_hessian():
+    x, y = seed2([2.0, 5.0])
+    z = 3.0 * x - y + 1.0
+    assert z.hess == 0.0
+    assert np.array_equal(z.grad, [3.0, -1.0])
+    assert np.array_equal((x * y).hess, [[0.0, 1.0], [1.0, 0.0]])

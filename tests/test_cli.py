@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import nlpflow.cli
+from nlpflow import parse_problem
 from nlpflow.cli import main
+from test_problemfile import chain_text
 
 HARD_START = "--theta0=-4.8578,3.8180,-2.7364"
 
@@ -139,6 +141,30 @@ def test_stiff_run_reports_jacobian_count(tmp_path):
                  "--k-theta", "1", "--k-h", "1", "--t-end", "30", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["jacobian_count"] == summary["step_count"] > 0
+
+
+def test_stiff_problem_file_run_uses_the_curvature_oracle(tmp_path, monkeypatch):
+    # each derivative call is a flow-point evaluation; no Jacobian differences
+    # the derivative oracle, as curvature_at's fallback would, n calls each
+    calls = [0]
+
+    def parse_counted(text, name="problem"):
+        problem = parse_problem(text, name=name)
+
+        def derivatives(theta):
+            calls[0] += 1
+            return problem.derivatives(theta)
+
+        return dataclasses.replace(problem, derivatives=derivatives)
+
+    monkeypatch.setattr(nlpflow.cli, "parse_problem", parse_counted)
+    src, out = tmp_path / "chain.nlp", tmp_path / "out"
+    src.write_text(chain_text(5))
+    assert main(["run", "--problem", str(src), "--theta0=2,1.7,1.4,1.1,0.8", "--method", "stiff",
+                 "--k-h", "1", "--k-g", "1", "--t-end", "100", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["jacobian_count"] > 0
+    assert calls[0] == summary["rhs_eval_count"]
 
 
 def test_wrong_size_gain_file_exits_2(tmp_path, capsys):

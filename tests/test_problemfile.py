@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,16 @@ def test_unexpected_character_position():
     assert exc.value.column is not None
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("  var x\n", 1, 7), ("var 1\n\tbogus x1\n", 2, 2), ("var 1\nmin x1\n  min x1\n", 3, 3),
+    ("var 1\n   min   x1 @ 2  # comment\n", 2, 13),
+])
+def test_columns_count_from_the_start_of_the_line(text, line, column):
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n# header\nvar 1   # one variable\n\nmin x1^2  # objective\n"
     p = parse_problem(text)
@@ -126,16 +137,21 @@ def test_round_trip():
     assert_equivalent(original, reparsed, seed=1)
 
 
-def test_serialization_is_a_fixed_point():
-    # the chained-sine problem at n = 4, rows as the builtin example2 orders them
+def chain_text(n):
+    """The chained-sine problem as a problem file, rows as the builtin example2
+    orders them."""
     shift, pi = repr(1.5 * math.pi), repr(math.pi)
     terms = [f"sin(x1 - 1 + {shift})"]
-    terms += [f"100 * sin(-x{i} + {shift} + x{i - 1}^2)" for i in range(2, 5)]
-    lines = ["var 4", "min " + " + ".join(terms), "ineq x1 - 1.5", "ineq 0.5 - x1"]
-    for i in range(2, 5):
+    terms += [f"100 * sin(-x{i} + {shift} + x{i - 1}^2)" for i in range(2, n + 1)]
+    lines = [f"var {n}", "min " + " + ".join(terms), "ineq x1 - 1.5", "ineq 0.5 - x1"]
+    for i in range(2, n + 1):
         lines += [f"ineq x{i - 1}^2 - x{i} - {pi}", f"ineq -{pi} - (x{i - 1}^2 - x{i})"]
-    lines += [f"eq x{i} - x{i + 1}" for i in range(1, 4)]
-    rendered = serialize_problem(parse_problem("# chain\n" + "\n".join(lines)))
+    lines += [f"eq x{i} - x{i + 1}" for i in range(1, n)]
+    return "# chain\n" + "\n".join(lines) + "\n"
+
+
+def test_serialization_is_a_fixed_point():
+    rendered = serialize_problem(parse_problem(chain_text(4)))
     assert serialize_problem(parse_problem(rendered)) == rendered
     assert_equivalent(parse_problem(rendered), builtin("example2", size=4), atol=1e-9)
 
@@ -155,7 +171,8 @@ def test_domain_errors_raise_evaluation_error(text):
         evaluate(problem, np.zeros(1))
 
 
-# (expression, column of the fault within it, or None where only "inside" is pinned)
+# (expression, column of the fault within it, or None where only "inside" is
+# pinned); the error reports the column in the line "min <expression>"
 REJECTED = [
     ("x1 ** 2", None), ("0x1F", None), ("1_0", None), ("1j", None), ("x1.real", None),
     ("x1[0]", None), ("__import__('os')", None), ("lambda: 1", None), ("x1 if x1 else x1", None),
@@ -179,9 +196,9 @@ def test_grammar_rejects(expr, column):
     with pytest.raises(ProblemParseError) as exc:
         parse_problem(f"var 1\n# the objective\nmin {expr}\n")
     assert exc.value.line == 3
-    assert 1 <= exc.value.column <= len(expr)
+    assert len("min ") < exc.value.column <= len("min ") + len(expr)
     if column is not None:
-        assert exc.value.column == column
+        assert exc.value.column == len("min ") + column
 
 
 @pytest.mark.parametrize("expr, value, slope", ACCEPTED)
@@ -200,7 +217,8 @@ def test_constant_zero_to_negative_power_exits_cleanly(tmp_path, capsys):
 
 def test_complex_power_in_curvature_fallback_is_evaluation_error():
     # the forward-difference step passes x1 = 1, where the base 1 - x1 turns negative
-    problem = parse_problem("var 1\nmin (1 - x1)^1.5\n", validate=False)
+    problem = dataclasses.replace(parse_problem("var 1\nmin (1 - x1)^1.5\n", validate=False),
+                                  curvature=None)
     point = evaluate(problem, np.array([1 - 1e-9]))
     with pytest.raises(EvaluationError):
         curvature_at(problem, point, np.zeros(0), np.zeros(0), np.ones(1))
@@ -210,3 +228,35 @@ def test_overflowing_power_in_derivatives_is_evaluation_error():
     problem = parse_problem("var 1\nmin x1^3\n", validate=False)
     with pytest.raises(EvaluationError):
         problem.derivatives(np.array([1e200]))
+
+
+def test_long_expression_is_a_parse_error():
+    # checking an expression recurses once per nesting level
+    parse_problem("var 1\nmin " + " + ".join(["sin(x1)"] * 400), validate=False)
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem("var 1\n\nmin " + " + ".join(["sin(x1)"] * 2000), validate=False)
+    assert (exc.value.line, exc.value.column) == (3, 5)
+
+
+def test_chain_curvature_matches_builtin_oracle():
+    n = 20
+    parsed, reference = parse_problem(chain_text(n)), builtin("example2", n)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        theta = rng.uniform(0.0, 2.0, n)
+        pi_e, pi_i, v = (rng.standard_normal(k) for k in (n - 1, 2 * n, n))
+        for got, ref in zip(parsed.curvature(theta, pi_e, pi_i, v),
+                            reference.curvature(theta, pi_e, pi_i, v)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("text, x1", [
+    ("log(x1)", 0.0), ("sqrt(x1)", -1.0), ("x1^-1", 0.0), ("x1 + 0^-1", 1.0),
+    # the base 1 - x1 is just below zero: a complex power without the check
+    ("(1 - x1)^1.5", 1 + 1e-9), ("x1^3", 1e200),
+])
+def test_domain_errors_in_curvature_oracle_are_evaluation_errors(text, x1):
+    problem = parse_problem(f"var 1\nmin {text}\n", validate=False)
+    with pytest.raises(EvaluationError):
+        problem.curvature(np.array([x1]), np.zeros(0), np.zeros(0), np.ones(1))
