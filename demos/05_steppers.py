@@ -1,8 +1,9 @@
 """Compare the explicit and the stiff stepper on raw ODEs.
 
 On the mild decay y' = -y both agree to high accuracy.  On y' = -1000*y the
-explicit pair is stability-limited to steps of about 2.8/1000, while the
-L-stable Rosenbrock pair strides through in a handful of steps.
+explicit pair is stability-limited to steps of about 2.8/1000: its PI step
+control holds the step near that boundary, 318 accepted / 1 rejected steps
+to tau = 1.  The L-stable Rosenbrock pair strides through in 28 steps.
 """
 
 import math

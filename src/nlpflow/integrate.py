@@ -1,12 +1,12 @@
 """Adaptive integration of the flow over virtual time.
 
-Two embedded steppers drive the outer solve loop: an explicit
-Dormand-Prince 5(4) pair for non-stiff flows and a 6-stage L-stable
-Rosenbrock 4(3) method (RODAS-type tableau, Hairer & Wanner) for stiff
-ones.  ``solve`` gives the Rosenbrock stepper the exact flow Jacobian on
-the working set settled at each base point (``dynamics.flow_jacobian``, one
-Gram solve); ``integrate_ode`` on a plain right-hand side takes forward
-finite differences (``fd_jacobian``).
+Two embedded steppers drive the outer solve loop, and ``integrate_ode``
+alone sets their step size: an explicit Dormand-Prince 5(4) pair under PI
+control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
+(RODAS-type tableau, Hairer & Wanner) for stiff ones.  ``solve`` gives the
+Rosenbrock stepper the exact flow Jacobian on the working set settled at
+each base point (``dynamics.flow_jacobian``, one Gram solve); on a plain
+right-hand side ``integrate_ode`` takes forward differences (``fd_jacobian``).
 """
 
 from __future__ import annotations
@@ -70,15 +70,21 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
-_FAC_MAX = 5.0
+_FAC_MAX = 3.0
+_PI_BETA = 0.08         # rk45's weight on the previous error (Gustafsson PI)
+_ERR_PREV_MIN = 1e-4    # floor and start value of the previous accepted error
 
 
-def _controller(h, err_norm, order_exponent):
+def _step_factor(err_norm, err_prev, fac_max, order_exponent, beta):
+    """h_next / h after an attempt, by the rule in integrate_ode."""
+    if not math.isfinite(err_norm):
+        return 0.5
+    if err_norm > 1.0:
+        return max(_FAC_MIN, _SAFETY * err_norm ** -order_exponent)
     if err_norm == 0.0:
-        factor = _FAC_MAX
-    else:
-        factor = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err_norm ** (-order_exponent)))
-    return h * factor
+        return fac_max
+    factor = _SAFETY * err_norm ** (0.75 * beta - order_exponent) * err_prev ** beta
+    return min(fac_max, max(_FAC_MIN, factor))
 
 
 def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
@@ -87,16 +93,15 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
 
 
 def step_rk45(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, f0=None):
-    """One embedded 5(4) step.  Returns (y_new, err_norm, h_next); the step
-    is acceptable when err_norm <= 1.  ``f0 = rhs(y)``, the first stage, may
+    """One embedded 5(4) step.  Returns (y_new, err_norm); the step is
+    acceptable when err_norm <= 1.  ``f0 = rhs(y)``, the first stage, may
     be reused across rejected attempts at the same point."""
     k = [rhs(y) if f0 is None else f0]
     for row in _DP_A[1:]:
         k.append(rhs(y + h * sum(a * ki for a, ki in zip(row, k))))
     y_new = y + h * sum(b * ki for b, ki in zip(_DP_B, k) if b)
     err = h * sum(e * ki for e, ki in zip(_DP_E, k) if e)
-    err_norm = _error_norm(err, y, y_new, rel_tol, abs_tol)
-    return y_new, err_norm, _controller(h, err_norm, 1 / 5)
+    return y_new, _error_norm(err, y, y_new, rel_tol, abs_tol)
 
 
 # --- Rosenbrock 4(3), RODAS tableau ---------------------------------------
@@ -159,9 +164,8 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
     y_new = y + sum(m * ki for m, ki in zip(_ROS_M, k))
     err = sum(e * ki for e, ki in zip(_ROS_E, k) if e)
     if not np.all(np.isfinite(y_new)):
-        return y_new, math.inf, 0.5 * h
-    err_norm = _error_norm(err, y, y_new, rel_tol, abs_tol)
-    return y_new, err_norm, _controller(h, err_norm, 1 / 4)
+        return y_new, math.inf
+    return y_new, _error_norm(err, y, y_new, rel_tol, abs_tol)
 
 
 # --- generic adaptive loop -------------------------------------------------
@@ -176,8 +180,13 @@ class OdeResult:
 
 
 def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
-    """Drive a stepper from 0 to t_end with standard accept/reject control.
+    """Drive a stepper from 0 to t_end with accept/reject step control.
 
+    An attempt with error norm e <= 1 is accepted and scales h by the PI
+    factor ``_SAFETY * e**(0.75 beta - k) * e_prev**beta`` in [0.2, 3], or in
+    [0.2, 1] right after a rejection (e_prev: the last accepted e, >= 1e-4;
+    rk45 k = 1/5, beta = 0.08; the L-stable stiff pair k = 1/4, beta = 0).
+    A rejection scales h by max(0.2, _SAFETY * e**-k), 0.5 for a non-finite e.
     ``f0 = rhs(y)`` is computed once per base point and shared by every
     attempt from it.  The stiff stepper's Jacobian, also one per base point,
     is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
@@ -190,6 +199,8 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
     res.y = np.asarray(y0, dtype=float).copy()
     h = _H_INIT * config.t_end
     stiff = config.method == "stiff"
+    order_exponent, beta = (1 / 4, 0.0) if stiff else (1 / 5, _PI_BETA)
+    err_prev, fac_max = _ERR_PREV_MIN, _FAC_MAX
     f0 = None
     while res.t < config.t_end and res.accepted + res.rejected < _MAX_STEPS:
         h = min(h, config.t_end - res.t)
@@ -198,23 +209,22 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
             if stiff:
                 jac = fd_jacobian(rhs, res.y, f0) if jacobian is None else jacobian(res.y)
                 res.jacobians += 1
-        if stiff:
-            y_new, err_norm, h_next = step_stiff(
-                rhs, res.y, h, config.rel_tol, config.abs_tol, jac=jac, f0=f0)
-        else:
-            y_new, err_norm, h_next = step_rk45(
-                rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
+        stepper = partial(step_stiff, jac=jac) if stiff else step_rk45
+        y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
+        factor = _step_factor(err_norm, err_prev, fac_max, order_exponent, beta)
         if err_norm <= 1.0:
             res.t += h
             res.y = y_new
             res.accepted += 1
             f0 = None
-            h = min(max(h_next, _H_MIN), _H_MAX * config.t_end)
+            err_prev, fac_max = max(err_norm, _ERR_PREV_MIN), _FAC_MAX
+            h = min(max(h * factor, _H_MIN), _H_MAX * config.t_end)
             if callback is not None and callback(res.t, res.y):
                 break
         else:
             res.rejected += 1
-            h = max(h_next, 0.1 * h)
+            fac_max = 1.0   # no growth on the step after a rejection
+            h *= factor
             if h < _H_MIN:
                 hint = "; the flow may be stiff, try method='stiff'" if not stiff else ""
                 raise StepFailureError(

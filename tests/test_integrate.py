@@ -13,11 +13,25 @@ import nlpflow.dynamics
 import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
 from nlpflow.errors import EvaluationError, InvalidInputError, StepFailureError
-from nlpflow.integrate import fd_jacobian, step_rk45, step_stiff
+from nlpflow.integrate import _FAC_MAX, _step_factor, fd_jacobian, step_rk45, step_stiff
 from nlpflow.monitor import ToleranceSet
 from nlpflow.problems import NlpProblem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EX1_HARD_START = (-4.8578, 3.8180, -2.7364)
+
+
+def sweep_starts(count):
+    """The leading starts of a fixed example1 sweep in [-10, 10]^3, from a
+    seed chosen before any result was seen."""
+    rng = np.random.default_rng(11)
+    return [rng.uniform(-10.0, 10.0, 3) for _ in range(count)]
+
+
+def solve_example1(theta0, method="rk45"):
+    return solve(builtin("example1"), np.asarray(theta0, dtype=float), GainSet.uniform(3, 2, 5),
+                 integrator=IntegratorConfig(method=method, t_end=300.0),
+                 pts_groups=[(0, 1, 2), (3, 4)])
 
 
 def decay(y):
@@ -84,9 +98,8 @@ class TestSteppers:
     def test_single_step_acceptance_contract(self):
         y = np.array([1.0])
         for stepper in (step_rk45, step_stiff):
-            y_new, err_norm, h_next = stepper(decay, y, 1e-3)
+            y_new, err_norm = stepper(decay, y, 1e-3)
             assert err_norm <= 1.0
-            assert h_next > 1e-3
             assert abs(y_new[0] - math.exp(-1e-3)) <= 1e-9
 
     def test_stiff_decay_needs_few_steps(self):
@@ -157,6 +170,76 @@ class TestSteppers:
         a = np.array([[0.0, 1.0], [-4.0, -0.4]])
         jac = fd_jacobian(lambda y: a @ y, np.array([0.3, -0.7]))
         assert np.abs(jac - a).max() <= 1e-5
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("k, beta", [(1 / 5, 0.08), (1 / 4, 0.0)])
+    def test_step_factor(self, k, beta):
+        # a tiny error grows the step, at most x3, and not at all after a rejection
+        assert _step_factor(1e-8, 1e-4, _FAC_MAX, k, beta) == _FAC_MAX == 3.0
+        assert _step_factor(0.0, 1e-4, _FAC_MAX, k, beta) == 3.0
+        assert 1.0 < _step_factor(0.05, 0.05, _FAC_MAX, k, beta) < 3.0
+        assert _step_factor(1e-8, 1e-4, 1.0, k, beta) == 1.0
+        assert 0.2 < _step_factor(0.9, 1e-4, 1.0, k, beta) < 1.0
+        # a rejection shrinks it by the error alone, to at least a fifth
+        assert _step_factor(2.0, 1e-4, _FAC_MAX, k, beta) == pytest.approx(0.9 * 2.0 ** -k)
+        assert _step_factor(2.0, 1.0, 1.0, k, beta) == _step_factor(2.0, 1e-4, 3.0, k, beta)
+        assert _step_factor(1e12, 1e-4, _FAC_MAX, k, beta) == 0.2
+        assert _step_factor(math.inf, 1e-4, _FAC_MAX, k, beta) == 0.5
+        assert _step_factor(math.nan, 1e-4, _FAC_MAX, k, beta) == 0.5
+
+    def test_pi_factor_weighs_the_previous_error(self):
+        # beta > 0: a shrinking error (a larger previous one) grows the step more
+        rising = _step_factor(0.5, 1e-2, _FAC_MAX, 1 / 5, 0.08)
+        falling = _step_factor(0.5, 0.9, _FAC_MAX, 1 / 5, 0.08)
+        assert rising < falling
+        assert _step_factor(0.5, 1e-2, _FAC_MAX, 1 / 4, 0.0) == \
+            _step_factor(0.5, 0.9, _FAC_MAX, 1 / 4, 0.0) == pytest.approx(0.9 * 0.5 ** -0.25)
+
+    def test_rk45_stiff_decay_rarely_rejects(self):
+        # the PI controller settles on the stability boundary of y' = -1000 y
+        cfg = IntegratorConfig(method="rk45", t_end=1.0)
+        res = integrate_ode(lambda y: -1000.0 * y, np.array([1.0]), cfg)
+        assert res.t == 1.0
+        assert res.rejected <= 5
+
+    def test_hard_start_rejects_few_attempts(self):
+        traj = solve_example1(EX1_HARD_START)
+        assert traj.verdict == "converged"
+        assert traj.rejected_count * 3 <= traj.step_count
+
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_no_growth_after_an_accepted_retry(self, monkeypatch, method):
+        name = "step_" + method
+        attempts = []
+        step = getattr(nlpflow.integrate, name)
+
+        def recorded(rhs, y, h, *args, **kwargs):
+            y_new, err_norm = step(rhs, y, h, *args, **kwargs)
+            attempts.append((h, err_norm <= 1.0))
+            return y_new, err_norm
+
+        monkeypatch.setattr(nlpflow.integrate, name, recorded)
+        traj = solve_example1(EX1_HARD_START, method)
+        assert traj.verdict == "converged"
+        retries = [i for i in range(1, len(attempts) - 1)
+                   if attempts[i][1] and not attempts[i - 1][1]]
+        assert retries
+        for i in retries:
+            assert attempts[i + 1][0] <= attempts[i][0]
+
+    @pytest.mark.parametrize("method, theta0", [
+        ("rk45", (3.49768337, -1.06072667, -0.20316076)),
+        ("rk45", (7.81560197, -0.76953298, -0.49532881)),
+        ("stiff", (7.81560197, -0.76953298, -0.49532881)),
+    ])
+    def test_pinned_starts_converge(self, method, theta0):
+        assert solve_example1(theta0, method).verdict == "converged"
+
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_sweep_converges(self, method):
+        verdicts = [solve_example1(theta0, method).verdict for theta0 in sweep_starts(32)]
+        assert verdicts == ["converged"] * 32
 
 
 class TestSolve:
@@ -309,7 +392,7 @@ class TestSolve:
 
         def failing_evaluate(*args):
             calls[0] += 1
-            if calls[0] == 300:
+            if calls[0] == 200:
                 raise EvaluationError("injected")
             return evaluate(*args)
 
