@@ -3,6 +3,8 @@
 The start [0, 0] violates the equality, so the flow first restores
 feasibility (the violation decays like exp(-k*tau)) while simultaneously
 descending; it lands on the known optimum [1, 1] with multiplier -1.
+The working set (empty here) holds from the start, so after two steps the
+Newton endgame takes over: its samples keep the tau at which it began.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ config = nf.IntegratorConfig(method="rk45", t_end=40.0, rel_tol=1e-8, abs_tol=1e
 
 trajectory = nf.solve(problem, np.array([0.0, 0.0]), gains, integrator=config)
 
-print(f"verdict: {trajectory.verdict} after {trajectory.step_count} accepted steps")
+print(f"verdict: {trajectory.verdict} after {trajectory.step_count} steps "
+      f"({trajectory.endgame_steps} of them Newton endgame steps)")
 print(f"{'tau':>8} {'theta_1':>10} {'theta_2':>10} {'||h||':>10} {'f':>10}")
 for s in trajectory.samples[:: max(1, len(trajectory.samples) // 10)]:
     print(f"{s.tau:>8.3f} {s.theta[0]:>10.6f} {s.theta[1]:>10.6f} "

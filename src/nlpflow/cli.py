@@ -23,7 +23,7 @@ from .monitor import ToleranceSet
 from .problemfile import parse_problem
 from .problems import builtin, builtin_names
 
-SUMMARY_SCHEMA = 4
+SUMMARY_SCHEMA = 5
 
 
 def _fmt(x):
@@ -107,34 +107,42 @@ def _write_trajectory(path, problem, traj):
 
 
 def _summary(problem, traj, config_echo, seed, wall_time):
-    final = traj.samples[-1]
     out = {
         "schema_version": SUMMARY_SCHEMA,
         "nlpflow_version": __version__,
         "problem": problem.name,
         "verdict": traj.verdict,
-        "tau_final": final.tau,
-        "theta_final": [float(v) for v in final.theta],
-        "pi_e_final": [float(v) for v in final.pi_e],
-        "pi_i_final": [float(v) for v in final.pi_i],
-        "kkt": {
-            "stationarity": final.report.stationarity,
-            "ec_violation": final.report.ec_violation,
-            "iec_violation": final.report.iec_violation,
-            "complementarity": final.report.complementarity,
-            "sign_violation": final.report.sign_violation,
-        },
+    }
+    if traj.samples:   # none when theta0 fails to evaluate
+        final = traj.final
+        out.update({
+            "tau_final": final.tau,
+            "theta_final": [float(v) for v in final.theta],
+            "pi_e_final": [float(v) for v in final.pi_e],
+            "pi_i_final": [float(v) for v in final.pi_i],
+            "kkt": {
+                "stationarity": final.report.stationarity,
+                "ec_violation": final.report.ec_violation,
+                "iec_violation": final.report.iec_violation,
+                "complementarity": final.report.complementarity,
+                "sign_violation": final.report.sign_violation,
+            },
+        })
+    out.update({
         "step_count": traj.step_count,
         "rejected_count": traj.rejected_count,
+        "trial_rejections": traj.trial_rejections,
+        "endgame_steps": traj.endgame_steps,
+        "endgame_fallbacks": traj.endgame_fallbacks,
         "rhs_eval_count": traj.rhs_eval_count,
         "jacobian_count": traj.jacobian_count,
         "wall_time_s": wall_time,
         "seed": seed,
         "config": config_echo,
-    }
-    if problem.known_optimum is not None:
+    })
+    if problem.known_optimum is not None and traj.samples:
         out["error_to_known_optimum"] = float(
-            np.linalg.norm(final.theta - problem.known_optimum))
+            np.linalg.norm(traj.final.theta - problem.known_optimum))
     if traj.error is not None:
         out["error_detail"] = str(traj.error)
     return out
@@ -179,8 +187,8 @@ def cmd_run(args):
     summary = _summary(problem, traj, _config_echo(args, theta0), args.seed, wall)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"{problem.name}: {traj.verdict} at tau={traj.samples[-1].tau:.6g} "
-          f"({traj.step_count} steps, {wall:.3f}s)")
+    at = f" at tau={traj.final.tau:.6g}" if traj.samples else ""
+    print(f"{problem.name}: {traj.verdict}{at} ({traj.step_count} steps, {wall:.3f}s)")
     if "error_to_known_optimum" in summary:
         print(f"  error vs known optimum: {summary['error_to_known_optimum']:.3e}")
     return 0 if traj.verdict in ("converged", "horizon-reached") else 1

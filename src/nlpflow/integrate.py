@@ -7,6 +7,8 @@ control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
 Rosenbrock stepper the exact flow Jacobian on the working set settled at
 each base point (``dynamics.flow_jacobian``, one Gram solve); on a plain
 right-hand side ``integrate_ode`` takes forward differences (``fd_jacobian``).
+Once the working set has settled, ``solve`` leaves the integration for a
+pseudo-transient Newton endgame on the same Jacobian.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import dynamics, monitor
-from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFailureError
+from .errors import (EvaluationError, InvalidInputError, NlpflowError, NumericFailureError,
+                     StepFailureError)
 from .problems import FD_REL_STEP, curvature_at, evaluate
 
 _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
@@ -27,6 +30,8 @@ _H_INIT = 1e-3          # first step, as a fraction of t_end
 _H_MAX = 0.1            # step-size ceiling, as a fraction of t_end
 _MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
 _EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
+_ENDGAME_HOLD = 3       # snapshots with one working set before the endgame starts
+_ENDGAME_GROWTH = 2.0   # least growth of the endgame's h per kept iteration
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,9 @@ class IntegratorConfig:
 
     The first step is ``_H_INIT * t_end`` and no step exceeds
     ``_H_MAX * t_end``; steps never fall below ``_H_MIN``.
-    ``fixed_horizon`` disables early termination on convergence, matching
-    runs that integrate the full horizon for table reproduction.
+    ``fixed_horizon`` disables early termination on convergence and the
+    endgame, matching runs that integrate the full horizon for table
+    reproduction.
     """
 
     method: str = "rk45"
@@ -174,43 +180,52 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
 class OdeResult:
     y: np.ndarray = None
     t: float = 0.0
+    h_next: float = None     # the next step size; when set, integrate_ode resumes with it
     accepted: int = 0
-    rejected: int = 0
-    jacobians: int = 0
+    rejected: int = 0        # including trial_rejections
+    trial_rejections: int = 0
 
 
-def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
+def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
+                  max_steps=_MAX_STEPS):
     """Drive a stepper from 0 to t_end with accept/reject step control.
 
     An attempt with error norm e <= 1 is accepted and scales h by the PI
     factor ``_SAFETY * e**(0.75 beta - k) * e_prev**beta`` in [0.2, 3], or in
     [0.2, 1] right after a rejection (e_prev: the last accepted e, >= 1e-4;
     rk45 k = 1/5, beta = 0.08; the L-stable stiff pair k = 1/4, beta = 0).
-    A rejection scales h by max(0.2, _SAFETY * e**-k), 0.5 for a non-finite e.
+    A rejection scales h by max(0.2, _SAFETY * e**-k), 0.5 for a non-finite e
+    or a trial stage that raises an ``EvaluationError`` or a
+    ``NumericFailureError`` (cycling, an infeasible subproblem, a non-finite
+    flow); such an error at y0 or at an accepted point stays fatal.
     ``f0 = rhs(y)`` is computed once per base point and shared by every
     attempt from it.  The stiff stepper's Jacobian, also one per base point,
     is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
     ``callback(t, y)`` runs after each accepted step; returning True
     stops the integration early.  Progress is kept in ``result`` (a new
     OdeResult when None), so a caller passing its own still reads the step
-    counts when a step raises.
+    counts when a step raises; passed back with y0 its last y, it resumes at
+    its t and h_next, up to ``max_steps`` attempts in all.
     """
     res = OdeResult() if result is None else result
     res.y = np.asarray(y0, dtype=float).copy()
-    h = _H_INIT * config.t_end
+    h = _H_INIT * config.t_end if res.h_next is None else res.h_next
     stiff = config.method == "stiff"
     order_exponent, beta = (1 / 4, 0.0) if stiff else (1 / 5, _PI_BETA)
     err_prev, fac_max = _ERR_PREV_MIN, _FAC_MAX
     f0 = None
-    while res.t < config.t_end and res.accepted + res.rejected < _MAX_STEPS:
+    while res.t < config.t_end and res.accepted + res.rejected < max_steps:
         h = min(h, config.t_end - res.t)
         if f0 is None:
             f0 = rhs(res.y)
             if stiff:
                 jac = fd_jacobian(rhs, res.y, f0) if jacobian is None else jacobian(res.y)
-                res.jacobians += 1
         stepper = partial(step_stiff, jac=jac) if stiff else step_rk45
-        y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
+        try:
+            y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
+        except (EvaluationError, NumericFailureError):
+            err_norm = math.inf
+            res.trial_rejections += 1
         factor = _step_factor(err_norm, err_prev, fac_max, order_exponent, beta)
         if err_norm <= 1.0:
             res.t += h
@@ -218,13 +233,13 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None):
             res.accepted += 1
             f0 = None
             err_prev, fac_max = max(err_norm, _ERR_PREV_MIN), _FAC_MAX
-            h = min(max(h * factor, _H_MIN), _H_MAX * config.t_end)
+            res.h_next = h = min(max(h * factor, _H_MIN), _H_MAX * config.t_end)
             if callback is not None and callback(res.t, res.y):
                 break
         else:
             res.rejected += 1
             fac_max = 1.0   # no growth on the step after a rejection
-            h *= factor
+            res.h_next = h = h * factor
             if h < _H_MIN:
                 hint = "; the flow may be stiff, try method='stiff'" if not stiff else ""
                 raise StepFailureError(
@@ -253,11 +268,15 @@ class Trajectory:
     """Ordered snapshots plus the termination verdict.
 
     ``verdict`` is ``converged`` once a snapshot meets every tolerance
-    (never under ``fixed_horizon``), ``horizon-reached`` at ``t_end``,
-    ``error:max-steps``, or ``error:<class>`` for an ``NlpflowError``, which
-    ``error`` keeps.
-    ``rhs_eval_count`` counts evaluations at distinct flow points (one
-    ``evaluate`` each).  ``jacobian_count`` counts stiff flow Jacobians.
+    (never under ``fixed_horizon``), ``horizon-reached`` when the
+    error-controlled integration reaches ``t_end``, ``error:max-steps``, or
+    ``error:<class>`` for an ``NlpflowError``, which ``error`` keeps.
+    ``step_count`` counts snapshots after theta0, ``rejected_count``
+    rejected attempts, ``trial_rejections`` those failed at a trial stage,
+    ``endgame_steps``/``endgame_fallbacks`` endgame iterations kept and
+    discarded, ``rhs_eval_count`` evaluations at distinct flow points (one
+    ``evaluate`` each), ``jacobian_count`` flow Jacobians (per stiff base
+    point and endgame iteration).
     Builtin and parsed problems have a curvature oracle; for a hand-built
     problem without one, each Jacobian also calls its derivative oracle n
     times, which ``rhs_eval_count`` does not include.
@@ -270,6 +289,9 @@ class Trajectory:
     error: Exception | None = None
     rejected_count: int = 0
     jacobian_count: int = 0
+    trial_rejections: int = 0
+    endgame_steps: int = 0
+    endgame_fallbacks: int = 0
 
     @property
     def final(self):
@@ -296,6 +318,15 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     evaluated once.  The stiff Jacobian at a base point is
     ``dynamics.flow_jacobian`` of the snapshot's point and settled flow.
 
+    Endgame (never under ``fixed_horizon``): once all priority groups are
+    enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
+    pseudo-transient continuation takes the steps delta = (I/h - J)^-1 F on
+    the last snapshot's flow F and flow Jacobian J, h growing from the last
+    accepted step by max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's
+    method on F = 0 in the limit).  theta + delta is a snapshot, at the
+    endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
+    else the integration resumes from the last snapshot.
+
     Raises InvalidInputError when the gain shapes do not fit the problem.
     """
     theta0 = np.asarray(theta0, dtype=float)
@@ -312,6 +343,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     warm = ()
     base = None   # the last snapshot's point and settled flow
     last = None   # the last point evaluated
+    held, settled = 0, None   # snapshots in a row with this working set and group count
 
     def evaluate_at(theta):
         nonlocal last
@@ -331,14 +363,17 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
 
     def jacobian(theta):
         point, res = base
+        traj.jacobian_count += 1
         return dynamics.flow_jacobian(point, gains, res, partial(curvature_at, problem))
 
-    def snapshot(tau, point):
+    def snapshot(tau, point, res=None):
         """Record the accepted point; True once the verdict is final."""
-        nonlocal pts, warm, base
+        nonlocal pts, warm, base, held, settled
         pts = dynamics.pts_update(pts, point)
-        res = flow(point)
+        res = flow(point) if res is None else res
         warm = res.working_set.working
+        held = held + 1 if (warm, pts.enabled) == settled else 1
+        settled = (warm, pts.enabled)
         base = (point, res)
         report = monitor.kkt_report(point, res)
         traj.samples.append(FlowState(
@@ -350,19 +385,55 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
             traj.verdict = "converged"
         return traj.verdict != "continue"
 
+    def endgame_ready():
+        return held >= _ENDGAME_HOLD and not config.fixed_horizon and pts.enabled >= len(pts.groups)
+
+    def endgame():
+        """Iterate from the last snapshot until a verdict or a fallback."""
+        nonlocal held
+        # held >= _ENDGAME_HOLD: the last two snapshots are one accepted step apart
+        h, tau = traj.final.tau - traj.samples[-2].tau, traj.final.tau
+        for _ in range(_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks
+                       - ode.accepted - ode.rejected):
+            point, res = base
+            f_norm, new_norm = float(np.linalg.norm(res.dtheta)), math.inf
+            try:
+                lhs = np.eye(point.theta.size) / h - jacobian(point.theta)
+                delta = np.linalg.solve(lhs, res.dtheta)
+                if delta @ res.dtheta > 0:   # else I/h - J is indefinite: no stable equilibrium
+                    new = evaluate_at(point.theta + delta)
+                    trial = flow(new)
+                    new_norm = float(np.linalg.norm(trial.dtheta))
+            except (NlpflowError, np.linalg.LinAlgError):
+                pass
+            if new_norm >= f_norm or trial.working_set.working != res.working_set.working:
+                traj.endgame_fallbacks += 1
+                held = 0
+                return
+            traj.endgame_steps += 1
+            if snapshot(tau, new, trial):
+                return
+            h *= max(_ENDGAME_GROWTH, f_norm / new_norm if new_norm else math.inf)
+        traj.verdict = "error:max-steps"
+
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
-            integrate_ode(rhs, theta0, config, result=ode, jacobian=jacobian,
-                          callback=lambda tau, theta: snapshot(tau, evaluate_at(theta)))
-            if traj.verdict == "continue":
-                traj.verdict = ("horizon-reached" if ode.t >= config.t_end
-                                else "error:max-steps")
+            while traj.verdict == "continue":
+                integrate_ode(rhs, traj.final.theta, config, result=ode, jacobian=jacobian,
+                              callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta))
+                                                           or endgame_ready()),
+                              max_steps=_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks)
+                if traj.verdict == "continue" and endgame_ready():
+                    endgame()
+                elif traj.verdict == "continue":
+                    traj.verdict = ("horizon-reached" if ode.t >= config.t_end
+                                    else "error:max-steps")
     except NlpflowError as exc:
         traj.verdict = f"error:{type(exc).__name__}"
         traj.error = exc
-    traj.step_count = ode.accepted
+    traj.step_count = ode.accepted + traj.endgame_steps
     traj.rejected_count = ode.rejected
-    traj.jacobian_count = ode.jacobians
+    traj.trial_rejections = ode.trial_rejections
     return traj
 
 

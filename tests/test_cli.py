@@ -51,9 +51,11 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert np.allclose(summary["pi_e_final"], [0.35, 0.70], atol=0.01)
     assert summary["seed"] == 7
     assert summary["config"]["theta0"] == [-4.8578, 3.8180, -2.7364]
-    assert summary["schema_version"] == 4
+    assert summary["schema_version"] == 5
     assert "initial_lp_gamma" not in summary
     assert summary["rejected_count"] > 0
+    assert summary["trial_rejections"] == 0
+    assert (summary["endgame_steps"], summary["endgame_fallbacks"]) == (0, 0)
 
 
 def test_run_replay_is_byte_identical(tmp_path):
@@ -177,14 +179,12 @@ def test_wrong_size_gain_file_exits_2(tmp_path, capsys):
     assert "k_g" in err and "Traceback" not in err
 
 
-def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
-    # a trial stage of the default rk45 stepper leaves the domain of log
-    src = tmp_path / "log_edge.nlp"
-    src.write_text("var 1\nmin log(x1)\nineq 0.05 - x1\n")
+def counted_parse(monkeypatch):
+    """Count the derivative-oracle calls of the problem `nlpflow run` parses."""
     calls = [0]
     parse = nlpflow.cli.parse_problem
 
-    def counted_parse(*args, **kwargs):
+    def counted(*args, **kwargs):
         problem = parse(*args, **kwargs)
 
         def derivatives(theta):
@@ -193,12 +193,41 @@ def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
 
         return dataclasses.replace(problem, derivatives=derivatives)
 
-    monkeypatch.setattr(nlpflow.cli, "parse_problem", counted_parse)
+    monkeypatch.setattr(nlpflow.cli, "parse_problem", counted)
+    return calls
+
+
+def test_run_domain_error_exits_1(tmp_path, capsys, monkeypatch):
+    # log is undefined at the start point
+    src = tmp_path / "log_edge.nlp"
+    src.write_text("var 1\nmin log(x1)\nineq 0.05 - x1\n")
+    calls = counted_parse(monkeypatch)
     out = tmp_path / "out"
-    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(out)]) == 1
+    assert main(["run", "--problem", str(src), "--theta0=-1", "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == "error:EvaluationError"
     assert "math domain error" in summary["error_detail"]
-    assert summary["step_count"] == 4
-    assert calls[0] == 27
+    assert summary["step_count"] == 0
+    assert "theta_final" not in summary
+    assert calls[0] == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1
+
+
+def test_run_trial_stage_domain_error_is_a_rejected_step(tmp_path, monkeypatch):
+    # a trial stage of the default rk45 stepper leaves the domain of log;
+    # the attempt is rejected and the run reaches the constrained minimum
+    src = tmp_path / "log_edge.nlp"
+    src.write_text("var 1\nmin log(x1)\nineq 0.05 - x1\n")
+    calls = counted_parse(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "converged"
+    assert abs(summary["theta_final"][0] - 0.05) <= 1e-6
+    assert abs(summary["pi_i_final"][0] - 20.0) <= 1e-4
+    assert summary["trial_rejections"] > 0
+    assert summary["endgame_steps"] > 0
+    assert calls[0] < summary["rhs_eval_count"]   # a failed evaluation calls no derivatives
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + summary["step_count"] + 1

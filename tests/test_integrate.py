@@ -12,7 +12,8 @@ import pytest
 import nlpflow.dynamics
 import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
-from nlpflow.errors import EvaluationError, InvalidInputError, StepFailureError
+from nlpflow.errors import (EvaluationError, InvalidInputError, NumericFailureError,
+                            StepFailureError)
 from nlpflow.integrate import _FAC_MAX, _step_factor, fd_jacobian, step_rk45, step_stiff
 from nlpflow.monitor import ToleranceSet
 from nlpflow.problems import NlpProblem
@@ -28,10 +29,15 @@ def sweep_starts(count):
     return [rng.uniform(-10.0, 10.0, 3) for _ in range(count)]
 
 
-def solve_example1(theta0, method="rk45"):
+def solve_example1(theta0, method="rk45", fixed_horizon=False):
     return solve(builtin("example1"), np.asarray(theta0, dtype=float), GainSet.uniform(3, 2, 5),
-                 integrator=IntegratorConfig(method=method, t_end=300.0),
+                 integrator=IntegratorConfig(method=method, t_end=300.0,
+                                             fixed_horizon=fixed_horizon),
                  pts_groups=[(0, 1, 2), (3, 4)])
+
+
+def error_controlled_attempts(traj):
+    return traj.step_count - traj.endgame_steps + traj.rejected_count
 
 
 def decay(y):
@@ -209,6 +215,31 @@ class TestStepControl:
         assert traj.rejected_count * 3 <= traj.step_count
 
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_trial_stage_errors_are_rejections(self, method):
+        # the first two trial stages fail: two rejections, each halving h
+        failures = [0]
+
+        def rhs(y):
+            if y[0] != 1.0 and failures[0] < 2:
+                failures[0] += 1
+                raise NumericFailureError("injected")
+            return -y
+
+        taus = []
+        res = integrate_ode(rhs, np.array([1.0]), IntegratorConfig(method=method, t_end=1.0),
+                            callback=lambda t, y: taus.append(t), jacobian=lambda y: -np.eye(1))
+        assert res.rejected == res.trial_rejections == 2
+        assert taus[0] == 0.25 * 1e-3
+        assert abs(res.y[0] - math.exp(-1.0)) <= 1e-6
+
+    def test_error_at_the_start_point_is_fatal(self):
+        def rhs(y):
+            raise EvaluationError("at y0")
+
+        with pytest.raises(EvaluationError):
+            integrate_ode(rhs, np.array([1.0]), IntegratorConfig())
+
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
     def test_no_growth_after_an_accepted_retry(self, monkeypatch, method):
         name = "step_" + method
         attempts = []
@@ -220,8 +251,10 @@ class TestStepControl:
             return y_new, err_norm
 
         monkeypatch.setattr(nlpflow.integrate, name, recorded)
-        traj = solve_example1(EX1_HARD_START, method)
-        assert traj.verdict == "converged"
+        # the endgame takes over before the hard start rejects a step
+        traj = solve_example1(EX1_HARD_START, method, fixed_horizon=True)
+        assert traj.verdict == "horizon-reached"
+        assert ToleranceSet().satisfied_by(traj.final.report)
         retries = [i for i in range(1, len(attempts) - 1)
                    if attempts[i][1] and not attempts[i - 1][1]]
         assert retries
@@ -232,6 +265,11 @@ class TestStepControl:
         ("rk45", (3.49768337, -1.06072667, -0.20316076)),
         ("rk45", (7.81560197, -0.76953298, -0.49532881)),
         ("stiff", (7.81560197, -0.76953298, -0.49532881)),
+        # sweep starts 136 and 128: a trial stage fails to settle its working set
+        ("rk45", (6.94589668, -2.25059126, -2.55046697)),
+        ("stiff", (7.65806542, -4.08311312, -2.47342374)),
+        # sweep start 194: ends horizon-reached if endgame iterations advance t past t_end
+        ("stiff", (1.74737479, -8.37134392, -8.76192360)),
     ])
     def test_pinned_starts_converge(self, method, theta0):
         assert solve_example1(theta0, method).verdict == "converged"
@@ -297,12 +335,21 @@ class TestSolve:
         assert traj.error.component == "objective"
 
     def test_horizon_reached_without_fixed_horizon(self):
-        p = builtin("unconstrained-quadratic", size=2)
+        # a linear objective has no equilibrium: every endgame falls back
+        # and the integration runs to t_end
+        p = NlpProblem(
+            name="linear", n=2, r=0, s=0,
+            objective=lambda t: t[0] + 2.0 * t[1],
+            inequalities=lambda t: np.zeros(0),
+            equalities=lambda t: np.zeros(0),
+            derivatives=lambda t: (np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros((0, 2))))
         gains = GainSet.uniform(2, 0, 0, k_theta=1.0)
-        traj = solve(p, np.array([1.0, -1.0]), gains, integrator=IntegratorConfig(t_end=1.0))
+        traj = solve(p, np.array([1.0, -1.0]), gains, integrator=IntegratorConfig(t_end=10.0))
         assert traj.verdict == "horizon-reached"
-        assert traj.final.tau == 1.0
+        assert traj.final.tau == 10.0
         assert traj.final.report.stationarity > ToleranceSet().stationarity
+        assert traj.endgame_fallbacks > 0
+        assert traj.endgame_steps == 0
 
     def test_settled_solves_run_no_lp(self):
         # the feasibility LP is a verdict for a working set that cannot settle,
@@ -359,28 +406,23 @@ class TestSolve:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(nlpflow.integrate, "step_rk45", counted)
-        p = builtin("example1")
-        gains = GainSet.uniform(3, 2, 5)
-        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
-                     integrator=IntegratorConfig(t_end=300.0),
-                     pts_groups=[(0, 1, 2), (3, 4)])
-        assert traj.verdict == "converged"
+        traj = solve_example1(EX1_HARD_START, fixed_horizon=True)
+        assert traj.verdict == "horizon-reached"
+        assert ToleranceSet().satisfied_by(traj.final.report)
         assert traj.rejected_count > 0
         assert attempts[0] == traj.step_count + traj.rejected_count
 
     def test_accepted_points_are_evaluated_once(self):
-        # one evaluation at theta0 and six new stages per attempt: stage 1 is
-        # the base point's snapshot, and stage 7 lies on the accepted point
-        p = builtin("example1")
-        gains = GainSet.uniform(3, 2, 5)
-        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
-                     integrator=IntegratorConfig(t_end=300.0),
-                     pts_groups=[(0, 1, 2), (3, 4)])
+        # one evaluation at theta0, six new stages per error-controlled
+        # attempt (stage 1 is the base point's snapshot, and stage 7 lies on
+        # the accepted point) and one per endgame iteration
+        traj = solve_example1(EX1_HARD_START)
         assert traj.verdict == "converged"
-        attempts = traj.step_count + traj.rejected_count
-        assert traj.rhs_eval_count == 1 + 6 * attempts
+        assert traj.endgame_steps > 0
+        assert traj.rhs_eval_count == (1 + 6 * error_controlled_attempts(traj)
+                                       + traj.endgame_steps + traj.endgame_fallbacks)
 
-    def test_rejections_survive_an_error_verdict(self, monkeypatch):
+    def test_trial_stage_error_is_a_rejection(self, monkeypatch):
         attempts = [0]
         calls = [0]
         step = nlpflow.integrate.step_rk45
@@ -392,21 +434,43 @@ class TestSolve:
 
         def failing_evaluate(*args):
             calls[0] += 1
-            if calls[0] == 200:
+            if calls[0] == 20:    # a stage of the fourth attempt
                 raise EvaluationError("injected")
             return evaluate(*args)
 
+        clean = solve_example1(EX1_HARD_START)
         monkeypatch.setattr(nlpflow.integrate, "step_rk45", counted_step)
         monkeypatch.setattr(nlpflow.integrate, "evaluate", failing_evaluate)
-        p = builtin("example1")
-        gains = GainSet.uniform(3, 2, 5)
-        traj = solve(p, np.array([-4.8578, 3.8180, -2.7364]), gains,
-                     integrator=IntegratorConfig(t_end=300.0),
-                     pts_groups=[(0, 1, 2), (3, 4)])
+        traj = solve_example1(EX1_HARD_START)
+        assert traj.verdict == clean.verdict == "converged"
+        assert (traj.rejected_count, traj.trial_rejections) == (clean.rejected_count + 1, 1)
+        # the attempt that raised is the rejected one
+        assert traj.rejected_count == attempts[0] - (traj.step_count - traj.endgame_steps)
+
+    def test_rejections_survive_an_error_verdict(self, monkeypatch):
+        # an error at an accepted point ends the run, with its counts kept
+        attempts = []
+        step = nlpflow.integrate.step_stiff
+        evaluate = nlpflow.integrate.evaluate
+
+        def recorded_step(*args, **kwargs):
+            y_new, err_norm = step(*args, **kwargs)
+            attempts.append(y_new.tobytes() if err_norm <= 1.0 else None)
+            return y_new, err_norm
+
+        def failing_evaluate(problem, theta):
+            if len(attempts) >= 25 and theta.tobytes() == attempts[-1]:
+                raise EvaluationError("injected")
+            return evaluate(problem, theta)
+
+        monkeypatch.setattr(nlpflow.integrate, "step_stiff", recorded_step)
+        monkeypatch.setattr(nlpflow.integrate, "evaluate", failing_evaluate)
+        traj = solve_example1(EX1_HARD_START, "stiff", fixed_horizon=True)
         assert traj.verdict == "error:EvaluationError"
         assert traj.rejected_count > 0
-        # the attempt that raised was neither accepted nor rejected
-        assert traj.rejected_count == attempts[0] - traj.step_count - 1
+        # the attempt whose point raised was accepted but not recorded
+        assert traj.rejected_count == len(attempts) - traj.step_count
+        assert len(traj.samples) == traj.step_count
 
     @pytest.mark.parametrize("sizes", [(2, 2, 5), (3, 1, 5), (3, 2, 4)])
     def test_mismatched_gain_shapes_are_rejected(self, sizes):
@@ -431,6 +495,14 @@ class TestStiffJacobian:
     def test_one_flow_jacobian_per_base_point(self, monkeypatch):
         fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
         exact = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        bases = set()
+        step = nlpflow.integrate.step_stiff
+
+        def recorded_step(rhs, y, *args, **kwargs):
+            bases.add(y.tobytes())
+            return step(rhs, y, *args, **kwargs)
+
+        monkeypatch.setattr(nlpflow.integrate, "step_stiff", recorded_step)
         n = 10
         p = builtin("example2", size=n)
         gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
@@ -438,7 +510,9 @@ class TestStiffJacobian:
                      integrator=IntegratorConfig(method="stiff", t_end=100.0))
         assert traj.verdict == "converged"
         assert fd[0] == 0
-        assert exact[0] == traj.jacobian_count == traj.step_count
+        assert traj.endgame_steps > 0
+        assert exact[0] == traj.jacobian_count == (len(bases) + traj.endgame_steps
+                                                   + traj.endgame_fallbacks)
         rk45 = solve(p, np.linspace(2.0, 0.8, n), gains,
                      integrator=IntegratorConfig(t_end=1.0, fixed_horizon=True))
         assert rk45.jacobian_count == 0
@@ -463,3 +537,79 @@ class TestStiffJacobian:
         assert traj.verdict == exact.verdict == "converged"
         assert calls[0] == traj.rhs_eval_count + n * traj.jacobian_count
         assert np.abs(traj.final.theta - exact.final.theta).max() <= 1e-6
+
+
+class TestEndgame:
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_fixed_horizon_never_switches(self, method):
+        assert solve_example1(EX1_HARD_START, method).endgame_steps > 0
+        traj = solve_example1(EX1_HARD_START, method, fixed_horizon=True)
+        assert (traj.endgame_steps, traj.endgame_fallbacks) == (0, 0)
+        assert traj.final.tau == 300.0
+
+    def test_working_set_change_falls_back(self, monkeypatch):
+        # the first endgame iterate is told its working set changed
+        clean = solve_example1(EX1_HARD_START)
+        jacobians = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        resolve = nlpflow.dynamics.resolve_working_set
+        changed = []
+
+        def forced(point, gains, candidate):
+            res = resolve(point, gains, candidate)
+            if jacobians[0] == 1 and not changed:
+                changed.append(res.working_set.working)
+                ws = nlpflow.dynamics.WorkingSet(activated=res.working_set.activated,
+                                                 working=res.working_set.working[:-1])
+                return dataclasses.replace(res, working_set=ws)
+            return res
+
+        monkeypatch.setattr(nlpflow.dynamics, "resolve_working_set", forced)
+        traj = solve_example1(EX1_HARD_START)
+        assert changed[0]
+        assert traj.verdict == "converged"
+        assert (clean.endgame_fallbacks, traj.endgame_fallbacks) == (0, 1)
+        # error control resumed and held the working set again before switching back
+        assert (traj.step_count - traj.endgame_steps
+                >= clean.step_count - clean.endgame_steps + nlpflow.integrate._ENDGAME_HOLD)
+        assert traj.final.tau > clean.final.tau
+
+    def test_step_against_the_flow_falls_back(self, monkeypatch):
+        # J + 1e12 I makes I/h - J negative definite, so delta . F < 0
+        flow_jacobian = nlpflow.dynamics.flow_jacobian
+        calls = [0]
+
+        def shifted(*args):
+            calls[0] += 1
+            jac = flow_jacobian(*args)
+            return jac + 1e12 * np.eye(len(jac)) if calls[0] == 1 else jac
+
+        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", shifted)
+        traj = solve_example1(EX1_HARD_START)
+        assert traj.verdict == "converged"
+        assert traj.endgame_fallbacks == 1
+        # the discarded iteration evaluated no point
+        assert traj.rhs_eval_count == (6 * error_controlled_attempts(traj)
+                                       + traj.endgame_steps + traj.endgame_fallbacks)
+
+    @pytest.mark.parametrize("method, theta0", [
+        ("rk45", EX1_HARD_START),
+        ("stiff", (1.74737479, -8.37134392, -8.76192360)),
+    ])
+    def test_endgame_samples_keep_tau(self, method, theta0):
+        traj = solve_example1(theta0, method)
+        taus = [s.tau for s in traj.samples]
+        assert traj.verdict == "converged"
+        assert all(a <= b for a, b in zip(taus, taus[1:]))
+        assert taus[-1] <= 300.0
+        # error-controlled steps advance tau, endgame steps repeat it
+        assert sum(a == b for a, b in zip(taus, taus[1:])) == traj.endgame_steps > 0
+
+    @pytest.mark.parametrize("budget", [6, 14])
+    def test_endgame_iterations_count_towards_max_steps(self, monkeypatch, budget):
+        # the hard start switches after 10 attempts and needs 7 endgame steps
+        monkeypatch.setattr(nlpflow.integrate, "_MAX_STEPS", budget)
+        traj = solve_example1(EX1_HARD_START)
+        assert traj.verdict == "error:max-steps"
+        assert (error_controlled_attempts(traj) + traj.endgame_steps
+                + traj.endgame_fallbacks) == budget
+        assert (traj.endgame_steps > 0) == (budget > 10)
