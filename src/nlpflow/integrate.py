@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import dynamics, monitor
 from .errors import (EvaluationError, InvalidInputError, NlpflowError, NumericFailureError,
@@ -149,6 +148,13 @@ def fd_jacobian(rhs, y, f0=None, rel_step=FD_REL_STEP):
     return jac
 
 
+def lu_factor(a):
+    """scipy's LU factorization, imported on first use: only the stiff
+    stepper needs scipy, so explicit solves never load it."""
+    from scipy.linalg import lu_factor as factor
+    return factor(a)
+
+
 def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
     """One L-stable Rosenbrock 4(3) step.  Same return convention and
     acceptance test as step_rk45.  ``jac`` and ``f0`` may be reused across
@@ -156,6 +162,7 @@ def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
     f0 = rhs(y) if f0 is None else f0
     if jac is None:
         jac = fd_jacobian(rhs, y, f0)
+    from scipy.linalg import lu_solve
     n = y.size
     lhs = np.eye(n) / (h * _ROS_GAMMA) - jac
     try:

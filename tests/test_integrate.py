@@ -353,7 +353,9 @@ class TestSolve:
 
     def test_settled_solves_run_no_lp(self):
         # the feasibility LP is a verdict for a working set that cannot settle,
-        # so solves that always settle never call it nor import scipy.optimize
+        # so solves that always settle never call it nor import scipy.optimize;
+        # an rk45 example1 solve (Grams of at most 3 rows) loads no scipy at all,
+        # and the stiff chain still converges once its LU is imported on first use
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -372,6 +374,7 @@ class TestSolve:
             ex1 = solve(builtin("example1"), np.array([-4.8578, 3.8180, -2.7364]),
                         GainSet.uniform(3, 2, 5), integrator=IntegratorConfig(t_end=300.0),
                         pts_groups=[(0, 1, 2), (3, 4)])
+            print(any(name.split(".")[0] == "scipy" for name in sys.modules))
             n = 10
             chain = solve(builtin("example2", size=n), np.linspace(2.0, 0.8, n),
                           GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0),
@@ -381,7 +384,15 @@ class TestSolve:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
-        assert out.split() == ["converged", "converged", "0", "False"]
+        assert out.split() == ["False", "converged", "converged", "0", "False"]
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, nlpflow, nlpflow.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
     def test_deterministic_replay_of_solve(self):
         p = builtin("example1")

@@ -5,10 +5,36 @@ from hypothesis import strategies as st
 
 from nlpflow import builtin
 from nlpflow.errors import InvalidInputError
-from nlpflow.linalg import pinv, pinv_gram, projector_col, projector_row, rank_cutoff
+from nlpflow.linalg import pinv_gram, rank_cutoff
 from nlpflow.problems import evaluate
 
 EPS = np.finfo(float).eps
+
+
+def gram_pinv(a):
+    """The pseudo-inverse the solver forms: A+ = A^T (A A^T)+, via pinv_gram."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return a.T @ pinv_gram(a @ a.T, np.eye(a.shape[0]))[0]
+
+
+def svd_pinv(a):
+    """numpy's SVD pseudo-inverse under the rank convention of ``rank_cutoff``."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return np.linalg.pinv(a, rcond=max(a.shape) * EPS)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the calls of numpy.linalg.eigh, pinv_gram's rank-revealing branch."""
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def random_matrices(count, max_dim=20, seed=0):
@@ -25,35 +51,41 @@ def random_matrices(count, max_dim=20, seed=0):
 
 
 class TestPinv:
+    """Identities of A+ = A^T (A A^T)+ formed through pinv_gram."""
+
     def test_identity(self):
-        assert np.allclose(pinv(np.eye(3)), np.eye(3))
+        assert np.allclose(gram_pinv(np.eye(3)), np.eye(3))
 
     def test_rank_one_frozen(self):
-        assert np.allclose(pinv([[1.0, 1.0], [2.0, 2.0]]),
+        assert np.allclose(gram_pinv([[1.0, 1.0], [2.0, 2.0]]),
                            [[0.1, 0.2], [0.1, 0.2]], atol=1e-12)
 
     def test_zero(self):
-        assert np.array_equal(pinv(np.zeros((3, 5))), np.zeros((5, 3)))
+        assert np.array_equal(gram_pinv(np.zeros((3, 5))), np.zeros((5, 3)))
 
     def test_zero_square(self):
-        assert np.array_equal(pinv(np.zeros((2, 2))), np.zeros((2, 2)))
-        x, rank = pinv_gram(np.zeros((2, 2)), np.ones(2))
-        assert rank == 0
-        assert np.array_equal(x, np.zeros(2))
+        for m in (2, 5):
+            x, rank = pinv_gram(np.zeros((m, m)), np.ones(m))
+            assert rank == 0
+            assert np.array_equal(x, np.zeros(m))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            pinv([[1.0, np.nan]])
+        for m in (2, 5):
+            gram = np.eye(m)
+            gram[0, 1] = np.nan
+            with pytest.raises(InvalidInputError):
+                pinv_gram(gram, np.ones(m))
 
     def test_inverse_when_square_nonsingular(self):
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        assert np.allclose(pinv(a), np.linalg.inv(a), atol=1e-10)
+        for m in (3, 4):
+            a = rng.standard_normal((m, m)) + 4 * np.eye(m)
+            assert np.allclose(gram_pinv(a), np.linalg.inv(a), atol=1e-10)
 
     def test_penrose_conditions(self):
         count = 0
         for a in random_matrices(200, seed=3):
-            p = pinv(a)
+            p = gram_pinv(a)
             scale = max(1.0, np.abs(a).max())
             assert np.abs(a @ p @ a - a).max() <= 1e-8 * scale
             assert np.abs(p @ a @ p - p).max() <= 1e-8 * max(1.0, np.abs(p).max())
@@ -63,11 +95,11 @@ class TestPinv:
         assert count == 200
 
     def test_gram_identities(self):
-        # M+ = M^T (M M^T)+ = (M^T M)+ M^T
+        # M+ = M^T (M M^T)+ = (M^T M)+ M^T, against numpy's SVD pseudo-inverse
         for a in random_matrices(50, max_dim=12, seed=4):
-            p = pinv(a)
-            left = a.T @ pinv(a @ a.T)
-            right = pinv(a.T @ a) @ a.T
+            p = svd_pinv(a)
+            left = gram_pinv(a)
+            right = pinv_gram(a.T @ a, a.T)[0]
             assert np.abs(p - left).max() <= 1e-8
             assert np.abs(p - right).max() <= 1e-8
 
@@ -80,8 +112,8 @@ class TestPinv:
             a = rng.standard_normal((m, n))
             b = a @ rng.standard_normal(n)   # consistent by construction
             s = rng.standard_normal((m, m)) + 3 * np.eye(m)
-            x0 = pinv(a) @ b
-            x1 = pinv(s @ a) @ (s @ b)
+            x0 = gram_pinv(a) @ b
+            x1 = gram_pinv(s @ a) @ (s @ b)
             assert np.abs(x0 - x1).max() <= 1e-6
 
     def test_pinv_gram_matches_svd_path(self):
@@ -91,7 +123,7 @@ class TestPinv:
             a = rng.standard_normal((m, k))
             gram = a @ a.T
             via_gram, rank = pinv_gram(gram, np.eye(m))
-            assert np.abs(via_gram - pinv(gram)).max() <= 1e-8
+            assert np.abs(via_gram - svd_pinv(gram)).max() <= 1e-8
             assert rank == np.linalg.matrix_rank(gram)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -113,21 +145,13 @@ class TestPinv:
         assume(not np.any((w > cutoff / 8) & (w < 8 * cutoff)))
         sol, rank = pinv_gram(gram, rhs)
         assert rank == int(np.sum(w > cutoff))
-        ref = pinv(gram) @ rhs
+        ref = svd_pinv(gram) @ rhs
         kept = w[w > cutoff]
         cond = kept[-1] / kept[0]
         assert np.linalg.norm(sol - ref) <= 10 * m * EPS * cond * np.linalg.norm(rhs) / kept[0]
 
-    def test_pinv_gram_branches(self, monkeypatch):
+    def test_pinv_gram_branches(self, eigh_calls):
         """Full-rank Grams are solved by Cholesky; rank-deficient ones by eigh."""
-        calls = [0]
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         n = 100
         chain = builtin("example2", size=n)
         theta = np.random.default_rng(0).uniform(0.7, 1.2, size=n)
@@ -136,7 +160,7 @@ class TestPinv:
         gram = 0.1 * point.h_jac @ point.h_jac.T
         rhs = 0.1 * point.h_jac @ point.f_grad
         sol, rank = pinv_gram(gram, rhs)
-        assert calls[0] == 0
+        assert eigh_calls[0] == 0
         assert rank == n - 1
         assert np.linalg.norm(gram @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -144,33 +168,49 @@ class TestPinv:
         point = evaluate(product, np.array([-4.8578, 3.8180, -2.7364]))
         gram = 0.1 * point.h_jac @ point.h_jac.T
         sol, rank = pinv_gram(gram, np.array([1.0, 2.0]))
-        assert calls[0] == 1
+        assert eigh_calls[0] == 1
         assert rank == 1
-        assert np.allclose(sol, pinv(gram) @ [1.0, 2.0], rtol=1e-12)
+        assert np.allclose(sol, svd_pinv(gram) @ [1.0, 2.0], rtol=1e-12)
 
+    def test_pinv_gram_branch_boundary(self, eigh_calls):
+        """A full-rank 3-row Gram goes straight to eigh; from 4 rows Cholesky
+        solves it and eigh is never called."""
+        rng = np.random.default_rng(10)
+        for m, expected in ((3, 1), (4, 0)):
+            eigh_calls[0] = 0
+            a = rng.standard_normal((m, m + 2))
+            gram, rhs = a @ a.T, rng.standard_normal(m)
+            sol, rank = pinv_gram(gram, rhs)
+            assert (rank, eigh_calls[0]) == (m, expected)
+            ref = np.linalg.pinv(gram) @ rhs
+            assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_pinv_gram_matrix_rhs(self, monkeypatch):
+    def test_pinv_gram_matrix_rhs(self, eigh_calls):
         """A matrix right-hand side gives G+ @ rhs on both branches."""
-        calls = [0]
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         rng = np.random.default_rng(9)
         a = rng.standard_normal((6, 8))
         rhs = rng.standard_normal((6, 5))
-        for gram, rank, eigh_calls in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
+        for gram, rank, expected in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
             sol, got = pinv_gram(gram, rhs)
-            assert (got, calls[0]) == (rank, eigh_calls)
-            ref = pinv(gram) @ rhs
+            assert (got, eigh_calls[0]) == (rank, expected)
+            ref = svd_pinv(gram) @ rhs
             assert sol.shape == ref.shape
             assert np.abs(sol - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def projector_col(a):
+    """Orthogonal projector onto the column space, A A+."""
+    return np.atleast_2d(a) @ gram_pinv(a)
+
+
+def projector_row(a):
+    """Orthogonal projector onto the row space, A+ A."""
+    return gram_pinv(a) @ np.atleast_2d(a)
+
+
 class TestProjectors:
+    """The projectors that A+ = A^T (A A^T)+ forms."""
+
     def test_full_row_rank_col_projector_is_identity(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
         assert np.allclose(projector_col(a), np.eye(2), atol=1e-10)
