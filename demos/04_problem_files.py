@@ -1,9 +1,9 @@
 """Define a problem in the text format and solve it.
 
-Derivatives come from forward-mode dual numbers, so anything the grammar can
-express gets exact gradients, and exact second-order terms for the stiff
-stepper, for free.  The parsed form also serializes back
-to text, which round-trips.
+Derivatives come from float code generated at parse time for each term of
+the expressions, so anything the grammar can express gets exact gradients,
+and exact second-order terms for the stiff stepper, for free.  The parsed
+form also serializes back to text, which round-trips.
 """
 
 import numpy as np

@@ -4,14 +4,12 @@ A problem is the standard form
 
     minimize f(theta)   subject to   g(theta) <= 0,  h(theta) = 0,
 
-with theta in R^n, g vector-valued of length r, h of length s.  Derivatives
-are supplied analytically (builtins) or by dual-number propagation (parsed
-problems); central finite differences act only as a registration-time
-cross-check.  Second-order terms, which the stiff stepper's flow Jacobian
-needs, come from an optional curvature oracle (hand-written for the
-builtins, second-order dual numbers for parsed problems).  Only a problem
-built without one gets them from forward differences of the derivative
-oracle.
+with theta in R^n, g vector-valued of length r, h of length s.  Derivatives,
+and the second-order terms the stiff stepper's flow Jacobian needs (the
+optional curvature oracle), are hand-written for the builtins and generated
+at parse time for problem files; central finite differences act only as a
+registration-time cross-check.  Only a problem built without a curvature
+oracle gets them from forward differences of the derivative oracle.
 """
 
 from __future__ import annotations

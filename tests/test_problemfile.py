@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import builtin, parse_problem, serialize_problem
+from nlpflow import builtin, parse_problem, problemfile, serialize_problem
 from nlpflow.errors import EvaluationError, ProblemParseError
 from nlpflow.cli import main
 from nlpflow.problems import curvature_at, evaluate
@@ -238,17 +238,52 @@ def test_long_expression_is_a_parse_error():
     assert (exc.value.line, exc.value.column) == (3, 5)
 
 
+def test_long_product_gets_one_kernel():
+    # one term nested 400 deep: x1^400
+    problem = parse_problem("var 1\nmin " + " * ".join(["x1"] * 400), validate=False)
+    one = np.ones(1)
+    assert problem.objective(one) == 1.0
+    assert problem.derivatives(one)[0][0] == 400.0
+    assert problem.curvature(one, np.zeros(0), np.zeros(0), one)[0][0, 0] == 400.0 * 399.0
+
+
+def test_recursion_in_code_generation_is_a_parse_error(monkeypatch):
+    def too_deep(*args):
+        raise RecursionError
+    monkeypatch.setattr(problemfile._Kernel, "source", too_deep)
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem("var 1\n\n  min sin(x1)", validate=False)
+    assert (exc.value.line, exc.value.column) == (3, 7)
+
+
+def test_compile_count_does_not_grow_with_the_chain(monkeypatch):
+    # the chain has the same term shapes at every n, so the same kernels:
+    # as many compile calls, and as many lines of generated source
+    calls = []
+
+    def counting(source, *args, **kwargs):
+        calls[-1].append(source.count("\n") if isinstance(source, str) else None)
+        return compile(source, *args, **kwargs)
+    monkeypatch.setattr(problemfile, "compile", counting, raising=False)
+    for n in (5, 20, 100):
+        calls.append([])
+        parse_problem(chain_text(n), validate=False)
+    assert calls[0] == calls[1] == calls[2] and calls[0]
+
+
 def test_chain_curvature_matches_builtin_oracle():
-    n = 20
-    parsed, reference = parse_problem(chain_text(n)), builtin("example2", n)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        theta = rng.uniform(0.0, 2.0, n)
-        pi_e, pi_i, v = (rng.standard_normal(k) for k in (n - 1, 2 * n, n))
-        for got, ref in zip(parsed.curvature(theta, pi_e, pi_i, v),
-                            reference.curvature(theta, pi_e, pi_i, v)):
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    for n in (5, 20, 100):
+        parsed, reference = parse_problem(chain_text(n)), builtin("example2", n)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            theta = rng.uniform(0.0, 2.0, n)
+            pi_e, pi_i, v = (rng.standard_normal(k) for k in (n - 1, 2 * n, n))
+            pairs = list(zip(parsed.derivatives(theta), reference.derivatives(theta)))
+            pairs += zip(parsed.curvature(theta, pi_e, pi_i, v),
+                         reference.curvature(theta, pi_e, pi_i, v))
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("text, x1", [
@@ -260,3 +295,23 @@ def test_domain_errors_in_curvature_oracle_are_evaluation_errors(text, x1):
     problem = parse_problem(f"var 1\nmin {text}\n", validate=False)
     with pytest.raises(EvaluationError):
         problem.curvature(np.array([x1]), np.zeros(0), np.zeros(0), np.ones(1))
+    with pytest.raises(EvaluationError):
+        problem.derivatives(np.array([x1]))
+
+
+def test_power_rule_guards_exponents_zero_and_one():
+    # x1^0 and x1^1 at 0 need no power of 0 with a negative exponent
+    zero, none = np.zeros(1), np.zeros(0)
+    for text, slope in (("x1^0", 0.0), ("x1^1", 1.0)):
+        problem = parse_problem(f"var 1\nmin {text}\n", validate=False)
+        assert problem.derivatives(zero)[0][0] == slope
+        assert problem.curvature(zero, none, none, np.ones(1))[0][0, 0] == 0.0
+
+
+def test_derivative_rule_that_divides_by_zero_is_evaluation_error():
+    # sqrt(0) is 0, but sqrt' and sqrt'' at 0 divide by zero
+    problem = parse_problem("var 1\nmin sqrt(x1)\n", validate=False)
+    with pytest.raises(EvaluationError):
+        problem.derivatives(np.zeros(1))
+    with pytest.raises(EvaluationError):
+        problem.curvature(np.zeros(1), np.zeros(0), np.zeros(0), np.ones(1))
