@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import GainSet
-from .errors import NlpflowError
+from .errors import InvalidInputError, NlpflowError
 from .integrate import IntegratorConfig, solve
 from .monitor import ToleranceSet
 from .problemfile import parse_problem
@@ -37,42 +37,38 @@ def _load_problem(source, size):
     return builtin(source, size)
 
 
-def _parse_pts(text, r):
-    """'1,2,3;4,5' -> zero-based priority groups covering all rows."""
-    groups = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            groups.append([int(tok) - 1 for tok in part.split(",")])
-    listed = {i for g in groups for i in g}
-    rest = [i for i in range(r) if i not in listed]
-    if rest:
-        groups.append(rest)
-    return groups
+def _number(token, option, kind=float):
+    """``kind(token)``; a malformed token is an InvalidInputError naming it."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise InvalidInputError(f"{option}: bad value {token!r}") from None
 
 
 def _initial_points(args, problem, rng):
     fixes = {}
     for item in args.fix or []:
         k, _, v = item.partition("=")
-        fixes[int(k) - 1] = float(v)
+        k = _number(k, f"--fix {item}", int)
+        if not 1 <= k <= problem.n:
+            raise InvalidInputError(f"--fix {item}: component {k} outside 1..{problem.n}")
+        fixes[k - 1] = _number(v, f"--fix {item}")
     count = getattr(args, "count", 1)
-    points = []
     if args.theta0.startswith("sample:"):
-        lo, hi = (float(t) for t in args.theta0[len("sample:"):].split(","))
-        for _ in range(count):
-            theta = rng.uniform(lo, hi, size=problem.n)
-            for k, v in fixes.items():
-                theta[k] = v
-            points.append(theta)
+        bounds = args.theta0[len("sample:"):].split(",")
+        if len(bounds) != 2:
+            raise InvalidInputError(f"--theta0 {args.theta0}: expected sample:lo,hi")
+        lo, hi = (_number(t, "--theta0") for t in bounds)
+        points = [rng.uniform(lo, hi, size=problem.n) for _ in range(count)]
     else:
-        theta = np.array([float(t) for t in args.theta0.split(",")])
+        theta = np.array([_number(t, "--theta0") for t in args.theta0.split(",")])
         if theta.size != problem.n:
-            raise NlpflowError(
+            raise InvalidInputError(
                 f"--theta0 has {theta.size} components, problem needs {problem.n}")
+        points = [theta.copy() for _ in range(count)]
+    for theta in points:
         for k, v in fixes.items():
             theta[k] = v
-        points = [theta.copy() for _ in range(count)]
     return points
 
 
@@ -157,7 +153,9 @@ def _setup(args):
                               abs_tol=args.abs_tol, t_end=args.t_end,
                               fixed_horizon=args.fixed_horizon)
     tols = ToleranceSet(stationarity=args.stationarity_tol)
-    pts_groups = _parse_pts(args.pts, problem.r) if args.pts else None
+    # '1,2,3;4,5' -> zero-based priority groups; solve adds the rows in none
+    pts_groups = [[_number(tok, "--pts", int) - 1 for tok in part.split(",")]
+                  for part in (args.pts or "").split(";") if part.strip()] or None
 
     def run_once(theta0):
         start = time.perf_counter()
@@ -246,7 +244,7 @@ def cmd_multistart(args):
 def cmd_list(args):
     entries = []
     for name in builtin_names():
-        p = builtin(name, validate=False)
+        p = builtin(name)
         entries.append({
             "name": name,
             "n": p.n, "r": p.r, "s": p.s,

@@ -92,25 +92,32 @@ class PtsState:
             raise InvalidInputError("enabled group count out of range")
 
     @classmethod
-    def single_group(cls, r):
-        return cls(groups=(tuple(range(r)),) if r else ((),))
+    def covering(cls, r, groups=()):
+        """``groups`` of the rows 0..r-1 in priority order, then the rows in
+        none; a row outside [0, r) is an InvalidInputError."""
+        groups = [tuple(g) for g in groups]
+        bad = set().union(*groups).difference(range(r))
+        if bad:
+            raise InvalidInputError(f"priority group row {min(bad)} outside [0, {r})")
+        rest = set(range(r)).difference(*groups)
+        return cls(groups=groups + [rest] if rest or not groups else groups)
 
     def enabled_indices(self):
         return sorted(i for g in self.groups[:self.enabled] for i in g)
 
 
-def pts_update(state, point, tol=1e-6):
+def pts_update(state, point):
     """Advance the priority schedule.
 
     The next group joins once every constraint in all currently enabled
-    groups satisfies g_i <= tol; repeated so that fully satisfied problems
+    groups satisfies g_i <= 1e-6; repeated so that fully satisfied problems
     enable everything at once.  Equalities are always enforced and are not
     part of the schedule.
     """
     enabled = state.enabled
     while enabled < len(state.groups):
         idx = [i for g in state.groups[:enabled] for i in g]
-        if idx and np.max(point.g[idx]) > tol:
+        if idx and np.max(point.g[idx]) > 1e-6:
             break
         enabled += 1
     if enabled == state.enabled:
@@ -151,7 +158,7 @@ def classify(point, eps_act, pts=None, warm=()):
     activated set (warm start).
     """
     r = point.g.size
-    pts = PtsState.single_group(r) if pts is None else pts
+    pts = PtsState.covering(r) if pts is None else pts
     enabled = pts.enabled_indices()
     activated = tuple(i for i in enabled if point.g[i] >= -eps_act)
     working = tuple(i for i in warm if i in activated)

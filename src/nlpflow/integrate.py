@@ -135,13 +135,13 @@ _ROS_M = (1.221224509226641, 6.019134481288629, 12.53708332932087,
 _ROS_E = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def fd_jacobian(rhs, y, f0=None, rel_step=FD_REL_STEP):
+def fd_jacobian(rhs, y, f0=None):
     """Forward-difference Jacobian of an autonomous right-hand side."""
     f0 = rhs(y) if f0 is None else f0
     n = y.size
     jac = np.empty((f0.size, n))
     for j in range(n):
-        delta = rel_step * max(1.0, abs(y[j]))
+        delta = FD_REL_STEP * max(1.0, abs(y[j]))
         yp = y.copy()
         yp[j] += delta
         jac[:, j] = (rhs(yp) - f0) / delta
@@ -309,9 +309,9 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
           pts_groups=None):
     """Integrate the flow from theta0 until convergence or the horizon.
 
-    ``pts_groups`` lists inequality index groups in priority order (None
-    for a single group).  A snapshot is recorded at theta0 and at every
-    accepted step.
+    ``pts_groups`` lists inequality index groups in priority order; the rows
+    in none of them form a last group (all rows when None).  A snapshot is
+    recorded at theta0 and at every accepted step.
 
     ``flow`` computes the flow at an evaluated point: classify the activated
     rows, settle the working set warm-started from the last snapshot, and
@@ -334,16 +334,14 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
     else the integration resumes from the last snapshot.
 
-    Raises InvalidInputError when the gain shapes do not fit the problem.
+    Raises InvalidInputError when the gain shapes do not fit the problem or
+    a priority group names a row outside [0, r).
     """
     theta0 = np.asarray(theta0, dtype=float)
     _check_gains(gains, problem)
     config = IntegratorConfig() if integrator is None else integrator
     tols = monitor.ToleranceSet() if tolerances is None else tolerances
-    if pts_groups is None:
-        pts = dynamics.PtsState.single_group(problem.r)
-    else:
-        pts = dynamics.PtsState(groups=tuple(tuple(g) for g in pts_groups))
+    pts = dynamics.PtsState.covering(problem.r, pts_groups or ())
 
     traj = Trajectory()
     ode = OdeResult()

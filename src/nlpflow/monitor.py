@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-
 
 @dataclass(frozen=True)
 class KktReport:
@@ -71,15 +69,13 @@ def kkt_report(point, rhs):
     )
 
 
-def lyapunov_value(point, activated, c1=1e-2):
-    """Diagnostic merit value: ||h|| + ||g(activated)|| + c1 * objective.
+def lyapunov_value(point, activated):
+    """Diagnostic merit value: ||h|| + ||g(activated)|| + 0.01 * objective.
 
-    Non-increasing along the flow for small enough c1; recorded for health
-    traces only, never used to steer the flow.
+    Non-increasing along the flow for a small enough weight; recorded for
+    health traces only, never used to steer the flow.
     """
-    if c1 <= 0:
-        raise InvalidInputError("c1 must be positive")
     activated = list(activated)
     g_norm = float(np.linalg.norm(point.g[activated])) if activated else 0.0
-    return float(np.linalg.norm(point.h)) + g_norm + c1 * point.f
+    return float(np.linalg.norm(point.h)) + g_norm + 1e-2 * point.f
 

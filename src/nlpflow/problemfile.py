@@ -36,7 +36,7 @@ from itertools import chain, combinations_with_replacement as pairs
 import numpy as np
 
 from .errors import EvaluationError, ProblemParseError
-from .problems import NlpProblem, check_derivatives
+from .problems import NlpProblem
 
 
 def _checked(fn):
@@ -334,7 +334,8 @@ class _Kernel:
 
 
 def _function(trees):
-    """Compile expression trees into one ``x -> [value, ...]``."""
+    """Compile expression trees into one ``x -> [value, ...]``, x a list of
+    floats as the kernels take: on numpy scalars a complex power is nan."""
     code = ast.parse("lambda x: []", mode="eval")
     code.body.body.elts = trees
     return eval(compile(code, "<problem>", "eval"), _NAMESPACE)
@@ -392,9 +393,10 @@ def _oracles(shapes, n, r, s):
     return derivatives, curvature
 
 
-def parse_problem(text, name="problem", validate=True):
+def parse_problem(text, name="problem"):
     """Parse problem-file text into an NlpProblem whose derivative and
-    curvature oracles run the kernels generated for its term shapes."""
+    curvature oracles run the kernels generated for its term shapes.  No
+    point is evaluated here: a domain error shows where the solver meets it."""
     n = None
     sources = {"min": [], "ineq": [], "eq": []}
     trees = {"min": [], "ineq": [], "eq": []}
@@ -435,13 +437,13 @@ def parse_problem(text, name="problem", validate=True):
     f_fn, g_fn, h_fn = (_function(trees[k]) for k in sources)
 
     def objective(theta):
-        return float(f_fn(theta)[0])
+        return f_fn(theta.tolist())[0]
 
     def inequalities(theta):
-        return np.array(g_fn(theta), dtype=float)
+        return np.array(g_fn(theta.tolist()), dtype=float)
 
     def equalities(theta):
-        return np.array(h_fn(theta), dtype=float)
+        return np.array(h_fn(theta.tolist()), dtype=float)
 
     derivatives, curvature = _oracles(shapes, n, len(trees["ineq"]), len(trees["eq"]))
     problem = NlpProblem(name=name, n=n, r=len(trees["ineq"]), s=len(trees["eq"]),
@@ -450,8 +452,6 @@ def parse_problem(text, name="problem", validate=True):
                          curvature=curvature)
     # keep the text as written so serialize_problem can round-trip
     object.__setattr__(problem, "_sources", sources)
-    if validate:
-        check_derivatives(problem)
     return problem
 
 

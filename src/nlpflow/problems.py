@@ -7,9 +7,10 @@ A problem is the standard form
 with theta in R^n, g vector-valued of length r, h of length s.  Derivatives,
 and the second-order terms the stiff stepper's flow Jacobian needs (the
 optional curvature oracle), are hand-written for the builtins and generated
-at parse time for problem files; central finite differences act only as a
-registration-time cross-check.  Only a problem built without a curvature
-oracle gets them from forward differences of the derivative oracle.
+at parse time for problem files; ``check_derivatives`` compares them with
+central finite differences, in the tests and for hand-built problems.
+Only a problem built without a curvature oracle gets them from forward
+differences of the derivative oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class NlpProblem:
     derivatives: callable
     curvature: callable = None
     known_optimum: np.ndarray | None = None
-    notes: str = ""
 
     def __post_init__(self):
         if self.n < 1 or self.r < 0 or self.s < 0:
@@ -162,7 +162,9 @@ def curvature_at(problem, point, pi_e, pi_i, v):
 # --- derivative cross-check ------------------------------------------------
 
 def check_derivatives(problem, points=3, rtol=1e-5, rng=None):
-    """Compare analytic derivatives against central finite differences.
+    """Compare analytic derivatives against central finite differences: the
+    way to check the oracles of a hand-built problem, which no constructor
+    checks.
 
     Raises EvaluationError when the relative mismatch exceeds ``rtol`` at any
     of ``points`` random test points.  A curvature oracle, at random
@@ -199,7 +201,7 @@ def check_derivatives(problem, points=3, rtol=1e-5, rng=None):
                     component=label)
 
 
-def finite_difference_derivatives(problem, theta, step_scale=1e-6):
+def finite_difference_derivatives(problem, theta):
     """Central finite differences of f, g, h; the independent oracle."""
     theta = np.asarray(theta, dtype=float)
     n = problem.n
@@ -207,7 +209,7 @@ def finite_difference_derivatives(problem, theta, step_scale=1e-6):
     g_jac = np.zeros((problem.r, n))
     h_jac = np.zeros((problem.s, n))
     for j in range(n):
-        hj = step_scale * max(1.0, abs(theta[j]))
+        hj = 1e-6 * max(1.0, abs(theta[j]))
         tp = theta.copy(); tp[j] += hj
         tm = theta.copy(); tm[j] -= hj
         for out, plus, minus in zip((f_grad, g_jac, h_jac),
@@ -273,8 +275,7 @@ def _product_triple():
         name="example1", n=3, r=5, s=2,
         objective=objective, inequalities=inequalities,
         equalities=equalities, derivatives=derivatives, curvature=curvature,
-        known_optimum=np.array([2.0, 0.5, 0.5]),
-        notes="pairwise-product objective, rank-deficient equalities")
+        known_optimum=np.array([2.0, 0.5, 0.5]))
 
 
 def _sine_chain(k):
@@ -361,8 +362,7 @@ def _sine_chain(k):
         name="example2", n=k, r=2 * k, s=k - 1,
         objective=objective, inequalities=inequalities,
         equalities=equalities, derivatives=derivatives, curvature=curvature,
-        known_optimum=np.ones(k),
-        notes="chained sines with two-sided bounds rearranged to g <= 0")
+        known_optimum=np.ones(k))
 
 
 def _ec_quadratic():
@@ -409,12 +409,12 @@ def builtin_names():
     return sorted(_REGISTRY)
 
 
-def builtin(name, size=None, validate=True):
+def builtin(name, size=None):
     """Construct a registered problem by name.
 
     ``size`` applies only to the sized problems (example2 and the
-    unconstrained toy); registration cross-checks analytic derivatives
-    against finite differences unless ``validate`` is False.
+    unconstrained toy).  The hand-written derivatives are checked against
+    finite differences in the tests, not here.
     """
     try:
         factory, sized = _REGISTRY[name]
@@ -422,11 +422,7 @@ def builtin(name, size=None, validate=True):
         raise UnknownProblemError(
             f"unknown problem {name!r}; available: {', '.join(builtin_names())}")
     if sized:
-        problem = factory(_DEFAULT_SIZE[name] if size is None else int(size))
-    else:
-        if size is not None:
-            raise InvalidInputError(f"problem {name!r} does not take a size")
-        problem = factory()
-    if validate:
-        check_derivatives(problem)
-    return problem
+        return factory(_DEFAULT_SIZE[name] if size is None else int(size))
+    if size is not None:
+        raise InvalidInputError(f"problem {name!r} does not take a size")
+    return factory()

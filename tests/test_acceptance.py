@@ -36,7 +36,7 @@ def report(name, checks):
 
 
 def run_example1(theta0, t_end=300.0):
-    problem = builtin("example1", validate=False)
+    problem = builtin("example1")
     gains = GainSet.uniform(3, 2, 5, k_theta=0.1, k_h=0.1, k_g=0.1)
     cfg = IntegratorConfig(method="rk45", rel_tol=1e-3, abs_tol=1e-6,
                            t_end=t_end, fixed_horizon=True)
@@ -44,7 +44,7 @@ def run_example1(theta0, t_end=300.0):
 
 
 def run_example2(theta0, t_end=100.0):
-    problem = builtin("example2", size=100, validate=False)
+    problem = builtin("example2", size=100)
     gains = GainSet.uniform(100, 99, 200, k_theta=0.1, k_h=1.0, k_g=1.0)
     cfg = IntegratorConfig(method="stiff", rel_tol=1e-3, abs_tol=1e-6,
                            t_end=t_end, fixed_horizon=True)
@@ -156,7 +156,7 @@ def test_criterion_5b_redundant_equality_invariance():
     from test_dynamics import TestRedundantRows, make_point
 
     rng = np.random.default_rng(SEED)
-    problem = builtin("example1", validate=False)
+    problem = builtin("example1")
     worst = 0.0
     for scale in (1.0, 2.0, -0.5):
         for _ in range(10):
@@ -200,7 +200,7 @@ def test_criterion_5c_monotone_merit_norms():
         ok = all(b <= a + slack for a, b in zip(values, values[1:]))
         checks.append((ok, f"{name}: ||h|| increased on an infeasible flow"))
 
-    p1 = builtin("example1", validate=False)
+    p1 = builtin("example1")
     g1 = GainSet.uniform(3, 2, 5, k_theta=0.1, k_h=0.1, k_g=0.1)
     cfg1 = IntegratorConfig(t_end=300.0, fixed_horizon=True)
     # the flow rides an inequality boundary; integrate it accurately so the
@@ -212,7 +212,7 @@ def test_criterion_5c_monotone_merit_norms():
                           pts_groups=PTS_GROUPS_1)
 
     k = 20
-    p2 = builtin("example2", size=k, validate=False)
+    p2 = builtin("example2", size=k)
     g2 = GainSet.uniform(k, k - 1, 2 * k, k_theta=0.1, k_h=1.0, k_g=1.0)
     cfg2 = IntegratorConfig(method="stiff", t_end=100.0, fixed_horizon=True)
     feasible_objective_monotone("example2", p2, np.full(k, 0.9), g2, cfg2)
@@ -220,13 +220,13 @@ def test_criterion_5c_monotone_merit_norms():
     ramp[0] = 2.0
     infeasible_h_monotone("example2", p2, ramp, g2, cfg2)
 
-    pq = builtin("ec-quadratic", validate=False)
+    pq = builtin("ec-quadratic")
     gq = GainSet.uniform(2, 1, 0, k_theta=1.0, k_h=1.0)
     cfgq = IntegratorConfig(t_end=30.0, fixed_horizon=True)
     feasible_objective_monotone("ec-quadratic", pq, np.array([1.5, 0.5]), gq, cfgq)
     infeasible_h_monotone("ec-quadratic", pq, np.array([0.0, 0.0]), gq, cfgq)
 
-    pu = builtin("unconstrained-quadratic", size=3, validate=False)
+    pu = builtin("unconstrained-quadratic", size=3)
     gu = GainSet.uniform(3, 0, 0, k_theta=1.0)
     feasible_objective_monotone("unconstrained", pu, np.array([1.0, -2.0, 0.5]),
                                 gu, IntegratorConfig(t_end=20.0, fixed_horizon=True))
@@ -276,7 +276,7 @@ def test_criterion_5e_equilibrium_iff_kkt():
     checks = []
     for name, size in (("example1", None), ("example2", 30),
                        ("ec-quadratic", None), ("unconstrained-quadratic", 4)):
-        problem = builtin(name, size=size, validate=False)
+        problem = builtin(name, size=size)
         point = evaluate(problem, problem.known_optimum)
         gains = GainSet.uniform(problem.n, problem.s, problem.r)
         res = resolve_working_set(point, gains, classify(point, 1e-8))
@@ -293,7 +293,7 @@ def test_criterion_5f_derivative_validation():
     checks = []
     for name, size in (("example1", None), ("example2", 25),
                        ("ec-quadratic", None), ("unconstrained-quadratic", 4)):
-        problem = builtin(name, size=size, validate=False)
+        problem = builtin(name, size=size)
         try:
             check_derivatives(problem, points=20, rtol=1e-5)
             checks.append((True, name))

@@ -14,7 +14,7 @@ NONE = np.zeros(0)
 
 
 def parsed(expr, n=1):
-    return parse_problem(f"var {n}\nmin {expr}\n", validate=False)
+    return parse_problem(f"var {n}\nmin {expr}\n")
 
 
 def gradient(expr, point):
@@ -33,13 +33,13 @@ def grad_of(fn, x, eps=1e-7):
 
 def test_seed_shapes():
     # each variable's own partials are a unit row
-    problem = parse_problem("var 3\nmin x1\nineq x2\neq x3\n", validate=False)
+    problem = parse_problem("var 3\nmin x1\nineq x2\neq x3\n")
     f_grad, g_jac, h_jac = problem.derivatives(np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(np.vstack([f_grad, g_jac, h_jac]), np.eye(3))
 
 
 def test_linear_arithmetic():
-    problem = parse_problem("var 2\nmin 3 * x1 - x2 + 1\neq 1 - x1 + (-x2)\n", validate=False)
+    problem = parse_problem("var 2\nmin 3 * x1 - x2 + 1\neq 1 - x1 + (-x2)\n")
     theta = np.array([2.0, 5.0])
     assert problem.objective(theta) == 2.0
     assert problem.equalities(theta)[0] == -6.0
@@ -177,14 +177,11 @@ def test_generated_expressions_match_central_differences():
     for _ in range(300):
         rows = [random_sum(rng) for _ in range(3)]
         texts += rows
-        problem = parse_problem(f"var 3\nmin {rows[0]}\nineq {rows[1]}\neq {rows[2]}\n",
-                                validate=False)
+        problem = parse_problem(f"var 3\nmin {rows[0]}\nineq {rows[1]}\neq {rows[2]}\n")
 
         def values(theta):
-            # on floats, as the kernels run: numpy scalars turn a complex power into nan
-            x = theta.tolist()
-            return np.concatenate(([problem.objective(x)], problem.inequalities(x),
-                                   problem.equalities(x)))
+            return np.concatenate(([problem.objective(theta)], problem.inequalities(theta),
+                                   problem.equalities(theta)))
 
         def jacobian(theta):
             return np.vstack(problem.derivatives(theta))

@@ -93,6 +93,25 @@ def test_run_theta0_dimension_mismatch(tmp_path, capsys):
     assert "components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, token", [
+    (["--theta0", "x,1,1"], "'x'"),
+    (["--theta0", "sample:1"], "sample:1"),
+    (["--theta0", "sample:0,y"], "'y'"),
+    (["--theta0", "1,1,1", "--fix", "a=1"], "'a'"),
+    (["--theta0", "1,1,1", "--fix", "1=b"], "'b'"),
+    (["--theta0", "1,1,1", "--fix", "0=1"], "component 0"),
+    (["--theta0", "1,1,1", "--fix", "4=1"], "component 4"),
+    (["--theta0", "1,1,1", "--pts", "a"], "'a'"),
+    (["--theta0", "1,1,1", "--pts", "0"], "row -1"),
+    (["--theta0", "1,1,1", "--pts", "1,2;6"], "row 5"),
+])
+def test_malformed_option_value_exits_2(tmp_path, capsys, options, token):
+    assert main(["run", "--problem", "example1", *options, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and token in err
+    assert "Traceback" not in err
+
+
 def test_unknown_problem_exits_2(tmp_path, capsys):
     assert main(["run", "--problem", "nope", "--theta0", "0",
                  "--out", str(tmp_path)]) == 2
@@ -231,3 +250,14 @@ def test_run_trial_stage_domain_error_is_a_rejected_step(tmp_path, monkeypatch):
     assert calls[0] < summary["rhs_eval_count"]   # a failed evaluation calls no derivatives
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 1 + summary["step_count"] + 1
+
+
+def test_run_log_with_shifted_domain_converges(tmp_path):
+    # the domain x1 > 2: loading the file evaluates nothing, so it runs from theta0
+    src = tmp_path / "log_shift.nlp"
+    src.write_text("var 1\nmin (x1 - 3)^2 - log(x1 - 2)\n")
+    out = tmp_path / "out"
+    assert main(["run", "--problem", str(src), "--theta0", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "converged"
+    assert abs(summary["theta_final"][0] - (5 + np.sqrt(3)) / 2) <= 1e-6

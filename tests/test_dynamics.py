@@ -56,8 +56,19 @@ class TestGainSet:
 
 class TestPrioritySchedule:
     def test_single_group(self):
-        pts = PtsState.single_group(4)
+        pts = PtsState.covering(4)
+        assert pts.groups == ((0, 1, 2, 3),)
         assert pts.enabled_indices() == [0, 1, 2, 3]
+        assert PtsState.covering(0).groups == ((),)
+
+    def test_covering_adds_unlisted_rows_as_last_group(self):
+        pts = PtsState.covering(5, [(2, 0), ()])
+        assert pts.groups == ((0, 2), (), (1, 3, 4))
+        assert PtsState.covering(3, [(1,), (0, 2)]).groups == ((1,), (0, 2))
+
+    def test_covering_rejects_a_row_that_is_not_a_row_number(self):
+        with pytest.raises(InvalidInputError, match="row 1.5 outside"):
+            PtsState.covering(5, [(1.5,)])
 
     def test_rejects_overlap(self):
         with pytest.raises(InvalidInputError):

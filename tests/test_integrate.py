@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlpflow.dynamics
 import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
-from nlpflow.errors import (EvaluationError, InvalidInputError, NumericFailureError,
-                            StepFailureError)
-from nlpflow.integrate import _FAC_MAX, _step_factor, fd_jacobian, step_rk45, step_stiff
+from nlpflow.errors import (EvaluationError, InvalidInputError, NlpflowError,
+                            NumericFailureError, StepFailureError)
+from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, fd_jacobian, step_rk45,
+                               step_stiff)
 from nlpflow.monitor import ToleranceSet
 from nlpflow.problems import NlpProblem
 
@@ -488,6 +491,50 @@ class TestSolve:
         p = builtin("example1")
         with pytest.raises(InvalidInputError, match="needs"):
             solve(p, np.array([-4.8578, 3.8180, -2.7364]), GainSet.uniform(*sizes))
+
+
+class TestPriorityGroups:
+    """solve() completes the groups it is given and rejects rows outside [0, r)."""
+
+    def solve(self, theta0, pts_groups, t_end=300.0):
+        return solve(builtin("example1"), np.asarray(theta0, dtype=float),
+                     GainSet.uniform(3, 2, 5), integrator=IntegratorConfig(t_end=t_end),
+                     pts_groups=pts_groups)
+
+    @pytest.mark.parametrize("groups", [[(0, 1, 2, 3, 4), (7,)], [(0, 1, 2), (-1,)]])
+    def test_row_outside_the_problem_is_invalid_input(self, groups):
+        with pytest.raises(InvalidInputError, match="outside"):
+            self.solve([2.0, 0.5, 0.5], groups)
+
+    def test_rows_in_no_group_are_enforced(self):
+        # rows 3 and 4 join as a last group; unenforced, the flow leaves them
+        # violated at [1, 1, 1]
+        traj = self.solve([2.0, 0.5, 0.5], [(0, 1, 2)])
+        assert traj.verdict == "converged"
+        assert traj.final.report.iec_violation <= 1e-8
+        assert np.abs(traj.final.theta - [2.0, 0.5, 0.5]).max() <= 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(groups=st.lists(st.lists(st.integers(-2, 7), max_size=3), max_size=3),
+           theta0=st.one_of(
+               st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+               st.lists(st.one_of(st.floats(-5.0, 5.0),
+                                  st.sampled_from([math.nan, math.inf, -math.inf])),
+                        min_size=2, max_size=4)))
+    def test_any_input_gives_a_trajectory_or_an_nlpflow_error(self, groups, theta0):
+        rows = [i for g in groups for i in g]
+        invalid = len(set(rows)) != len(rows) or any(not 0 <= i < 5 for i in rows)
+        try:
+            traj = self.solve(theta0, groups, t_end=10.0)
+        except NlpflowError as exc:
+            assert invalid, exc
+            return
+        assert not invalid
+        assert isinstance(traj, Trajectory)
+        assert traj.verdict in ("converged", "horizon-reached") or traj.verdict.startswith(
+            "error:"), traj.verdict
+        if len(theta0) != 3 or not np.all(np.isfinite(theta0)):
+            assert traj.verdict == "error:InvalidInputError"
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from nlpflow import GainSet, builtin
 from nlpflow.dynamics import WorkingSet, classify, resolve_working_set, rhs_general
-from nlpflow.errors import InvalidInputError
 from nlpflow.monitor import KktReport, ToleranceSet, kkt_report, lyapunov_value
 from nlpflow.problems import evaluate
 
@@ -61,13 +59,7 @@ def test_complementarity_covers_all_rows():
 
 def test_lyapunov_value():
     point = evaluate(builtin("ec-quadratic"), np.array([0.0, 0.0]))
-    assert np.isclose(lyapunov_value(point, activated=(), c1=1e-2), 2.0)
+    assert np.isclose(lyapunov_value(point, activated=()), 2.0)
     feasible = evaluate(builtin("ec-quadratic"), np.array([1.0, 1.0]))
-    # with zero violations the value reduces to c1 * objective exactly
-    assert lyapunov_value(feasible, activated=(), c1=1e-2) == 1e-2 * feasible.f
-
-
-def test_lyapunov_requires_positive_weight():
-    point = evaluate(builtin("ec-quadratic"), np.array([0.0, 0.0]))
-    with pytest.raises(InvalidInputError):
-        lyapunov_value(point, activated=(), c1=0.0)
+    # with zero violations the value reduces to 1e-2 * objective exactly
+    assert lyapunov_value(feasible, activated=()) == 1e-2 * feasible.f

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_serialize_requires_parsed_problem():
                                   "var 1\nmin exp(-1 / x1^2)", "var 1\nmin x1^0.5"])
 @pytest.mark.filterwarnings("ignore:divide by zero")
 def test_domain_errors_raise_evaluation_error(text):
-    problem = parse_problem(text, validate=False)
+    problem = parse_problem(text)
     with pytest.raises(EvaluationError):
         evaluate(problem, np.zeros(1))
 
@@ -209,15 +210,26 @@ def test_grammar_accepts(expr, value, slope):
 
 
 def test_constant_zero_to_negative_power_exits_cleanly(tmp_path, capsys):
+    # the pole fails at the start point, as any domain error there does
     src = tmp_path / "pole.nlp"
     src.write_text("var 1\nmin x1 + 0^-1\n")
-    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: 0.0 ** -1.0")
+    assert main(["run", "--problem", str(src), "--theta0=1", "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["verdict"] == "error:EvaluationError"
+    assert summary["error_detail"].startswith("0.0 ** -1.0")
+
+
+def test_values_run_on_floats():
+    # numpy scalars would give nan and a RuntimeWarning for the complex power
+    problem = parse_problem("var 1\nmin (x1 - 2)^1.5")
+    with pytest.raises(EvaluationError, match=r"^-1\.0 \*\* 1\.5 is not real$"):
+        evaluate(problem, [1.0])
 
 
 def test_complex_power_in_curvature_fallback_is_evaluation_error():
     # the forward-difference step passes x1 = 1, where the base 1 - x1 turns negative
-    problem = dataclasses.replace(parse_problem("var 1\nmin (1 - x1)^1.5\n", validate=False),
+    problem = dataclasses.replace(parse_problem("var 1\nmin (1 - x1)^1.5\n"),
                                   curvature=None)
     point = evaluate(problem, np.array([1 - 1e-9]))
     with pytest.raises(EvaluationError):
@@ -225,22 +237,22 @@ def test_complex_power_in_curvature_fallback_is_evaluation_error():
 
 
 def test_overflowing_power_in_derivatives_is_evaluation_error():
-    problem = parse_problem("var 1\nmin x1^3\n", validate=False)
+    problem = parse_problem("var 1\nmin x1^3\n")
     with pytest.raises(EvaluationError):
         problem.derivatives(np.array([1e200]))
 
 
 def test_long_expression_is_a_parse_error():
     # checking an expression recurses once per nesting level
-    parse_problem("var 1\nmin " + " + ".join(["sin(x1)"] * 400), validate=False)
+    parse_problem("var 1\nmin " + " + ".join(["sin(x1)"] * 400))
     with pytest.raises(ProblemParseError) as exc:
-        parse_problem("var 1\n\nmin " + " + ".join(["sin(x1)"] * 2000), validate=False)
+        parse_problem("var 1\n\nmin " + " + ".join(["sin(x1)"] * 2000))
     assert (exc.value.line, exc.value.column) == (3, 5)
 
 
 def test_long_product_gets_one_kernel():
     # one term nested 400 deep: x1^400
-    problem = parse_problem("var 1\nmin " + " * ".join(["x1"] * 400), validate=False)
+    problem = parse_problem("var 1\nmin " + " * ".join(["x1"] * 400))
     one = np.ones(1)
     assert problem.objective(one) == 1.0
     assert problem.derivatives(one)[0][0] == 400.0
@@ -252,7 +264,7 @@ def test_recursion_in_code_generation_is_a_parse_error(monkeypatch):
         raise RecursionError
     monkeypatch.setattr(problemfile._Kernel, "source", too_deep)
     with pytest.raises(ProblemParseError) as exc:
-        parse_problem("var 1\n\n  min sin(x1)", validate=False)
+        parse_problem("var 1\n\n  min sin(x1)")
     assert (exc.value.line, exc.value.column) == (3, 7)
 
 
@@ -267,7 +279,7 @@ def test_compile_count_does_not_grow_with_the_chain(monkeypatch):
     monkeypatch.setattr(problemfile, "compile", counting, raising=False)
     for n in (5, 20, 100):
         calls.append([])
-        parse_problem(chain_text(n), validate=False)
+        parse_problem(chain_text(n))
     assert calls[0] == calls[1] == calls[2] and calls[0]
 
 
@@ -292,7 +304,7 @@ def test_chain_curvature_matches_builtin_oracle():
     ("(1 - x1)^1.5", 1 + 1e-9), ("x1^3", 1e200),
 ])
 def test_domain_errors_in_curvature_oracle_are_evaluation_errors(text, x1):
-    problem = parse_problem(f"var 1\nmin {text}\n", validate=False)
+    problem = parse_problem(f"var 1\nmin {text}\n")
     with pytest.raises(EvaluationError):
         problem.curvature(np.array([x1]), np.zeros(0), np.zeros(0), np.ones(1))
     with pytest.raises(EvaluationError):
@@ -303,14 +315,14 @@ def test_power_rule_guards_exponents_zero_and_one():
     # x1^0 and x1^1 at 0 need no power of 0 with a negative exponent
     zero, none = np.zeros(1), np.zeros(0)
     for text, slope in (("x1^0", 0.0), ("x1^1", 1.0)):
-        problem = parse_problem(f"var 1\nmin {text}\n", validate=False)
+        problem = parse_problem(f"var 1\nmin {text}\n")
         assert problem.derivatives(zero)[0][0] == slope
         assert problem.curvature(zero, none, none, np.ones(1))[0][0, 0] == 0.0
 
 
 def test_derivative_rule_that_divides_by_zero_is_evaluation_error():
     # sqrt(0) is 0, but sqrt' and sqrt'' at 0 divide by zero
-    problem = parse_problem("var 1\nmin sqrt(x1)\n", validate=False)
+    problem = parse_problem("var 1\nmin sqrt(x1)\n")
     with pytest.raises(EvaluationError):
         problem.derivatives(np.zeros(1))
     with pytest.raises(EvaluationError):

@@ -141,7 +141,7 @@ class TestDerivativeValidation:
         ("example1", None), ("example2", 20),
         ("ec-quadratic", None), ("unconstrained-quadratic", 4)])
     def test_matches_finite_differences_at_20_points(self, name, size):
-        p = builtin(name, size=size, validate=False)
+        p = builtin(name, size=size)
         check_derivatives(p, points=20, rtol=1e-5)
 
     def test_detects_wrong_gradient(self):
@@ -199,7 +199,7 @@ class TestCurvature:
         ("example1", None), ("example2", 12),
         ("ec-quadratic", None), ("unconstrained-quadratic", 4)])
     def test_matches_central_differences_of_derivatives(self, name, size):
-        p = builtin(name, size=size, validate=False)
+        p = builtin(name, size=size)
         for seed in range(5):
             args = random_second_order_args(p, seed)
             got = p.curvature(*args)
@@ -210,7 +210,7 @@ class TestCurvature:
 
     def test_fallback_differences_the_derivative_oracle(self):
         # no curvature oracle: n forward-difference calls of derivatives
-        p = builtin("example2", size=12, validate=False)
+        p = builtin("example2", size=12)
         calls = [0]
 
         def derivatives(theta):
