@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from . import __version__
 from .dynamics import GainSet
 from .errors import InvalidInputError, NlpflowError
 from .integrate import IntegratorConfig, solve
-from .monitor import ToleranceSet
 from .problemfile import parse_problem
 from .problems import builtin, builtin_names
 
@@ -30,35 +31,59 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _read(path, option, load):
+    """``load(path)``; a missing, unreadable or malformed file is an
+    InvalidInputError naming the option and the path."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc   # no path twice for an OSError
+        raise InvalidInputError(f"{option} {path}: {reason}") from None
+
+
 def _load_problem(source, size):
     path = Path(source)
     if path.suffix or path.exists():
-        return parse_problem(path.read_text(encoding="utf-8"), name=path.stem)
+        text = _read(path, "--problem", lambda p: p.read_text(encoding="utf-8"))
+        return parse_problem(text, name=path.stem)
     return builtin(source, size)
 
 
 def _number(token, option, kind=float):
-    """``kind(token)``; a malformed token is an InvalidInputError naming it."""
+    """``kind(token)``; a malformed or non-finite token is an
+    InvalidInputError naming it."""
     try:
-        return kind(token)
-    except ValueError:
-        raise InvalidInputError(f"{option}: bad value {token!r}") from None
+        value = kind(token)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{option}: bad value {token!r}")
+
+
+def _index(token, option, what, size):
+    """The zero-based index of a 1-based token, which must lie in 1..size."""
+    k = _number(token, option, int)
+    if not 1 <= k <= size:
+        raise InvalidInputError(f"{option}: {what} {k} outside 1..{size}")
+    return k - 1
 
 
 def _initial_points(args, problem, rng):
     fixes = {}
     for item in args.fix or []:
         k, _, v = item.partition("=")
-        k = _number(k, f"--fix {item}", int)
-        if not 1 <= k <= problem.n:
-            raise InvalidInputError(f"--fix {item}: component {k} outside 1..{problem.n}")
-        fixes[k - 1] = _number(v, f"--fix {item}")
+        fixes[_index(k, f"--fix {item}", "component", problem.n)] = _number(v, f"--fix {item}")
     count = getattr(args, "count", 1)
+    if count < 1:
+        raise InvalidInputError(f"--count must be at least 1, got {count}")
     if args.theta0.startswith("sample:"):
         bounds = args.theta0[len("sample:"):].split(",")
         if len(bounds) != 2:
             raise InvalidInputError(f"--theta0 {args.theta0}: expected sample:lo,hi")
         lo, hi = (_number(t, "--theta0") for t in bounds)
+        if not math.isfinite(hi - lo):
+            raise InvalidInputError(f"--theta0 {args.theta0}: range too wide")
         points = [rng.uniform(lo, hi, size=problem.n) for _ in range(count)]
     else:
         theta = np.array([_number(t, "--theta0") for t in args.theta0.split(",")])
@@ -73,17 +98,18 @@ def _initial_points(args, problem, rng):
 
 
 def _gains(args, problem):
-    def matrix(file_attr, scalar, dim):
-        path = getattr(args, file_attr)
-        if path:
-            return np.loadtxt(path, ndmin=2)
-        return scalar * np.eye(dim)
+    """Each gain from its file when given, else from its scalar: a scaled
+    identity for k_theta and k_h, a constant vector for k_g."""
+    def gain(name, dim, ndmin):
+        path = getattr(args, name + "_file")
+        if path is None:
+            scaled = np.full(dim, getattr(args, name))
+            return np.diag(scaled) if ndmin == 2 else scaled
+        return _read(path, f"--{name.replace('_', '-')}-file",
+                     lambda p: np.loadtxt(p, ndmin=ndmin))
 
-    k_g_file = args.k_g_file
-    k_g = np.loadtxt(k_g_file, ndmin=1) if k_g_file else np.full(problem.r, args.k_g)
-    return GainSet(matrix("k_theta_file", args.k_theta, problem.n),
-                   matrix("k_h_file", args.k_h, problem.s),
-                   k_g)
+    return GainSet(gain("k_theta", problem.n, 2), gain("k_h", problem.s, 2),
+                   gain("k_g", problem.r, 1))
 
 
 def _write_trajectory(path, problem, traj):
@@ -116,26 +142,12 @@ def _summary(problem, traj, config_echo, seed, wall_time):
             "theta_final": [float(v) for v in final.theta],
             "pi_e_final": [float(v) for v in final.pi_e],
             "pi_i_final": [float(v) for v in final.pi_i],
-            "kkt": {
-                "stationarity": final.report.stationarity,
-                "ec_violation": final.report.ec_violation,
-                "iec_violation": final.report.iec_violation,
-                "complementarity": final.report.complementarity,
-                "sign_violation": final.report.sign_violation,
-            },
+            "kkt": asdict(final.report),
         })
-    out.update({
-        "step_count": traj.step_count,
-        "rejected_count": traj.rejected_count,
-        "trial_rejections": traj.trial_rejections,
-        "endgame_steps": traj.endgame_steps,
-        "endgame_fallbacks": traj.endgame_fallbacks,
-        "rhs_eval_count": traj.rhs_eval_count,
-        "jacobian_count": traj.jacobian_count,
-        "wall_time_s": wall_time,
-        "seed": seed,
-        "config": config_echo,
-    })
+    for name in ("step_count", "rejected_count", "trial_rejections", "endgame_steps",
+                 "endgame_fallbacks", "rhs_eval_count", "jacobian_count"):
+        out[name] = getattr(traj, name)
+    out.update(wall_time_s=wall_time, seed=seed, config=config_echo)
     if problem.known_optimum is not None and traj.samples:
         out["error_to_known_optimum"] = float(
             np.linalg.norm(traj.final.theta - problem.known_optimum))
@@ -149,59 +161,54 @@ def _setup(args):
     problem = _load_problem(args.problem, args.size)
     points = _initial_points(args, problem, np.random.default_rng(args.seed))
     gains = _gains(args, problem)
-    config = IntegratorConfig(method=args.method, rel_tol=args.rel_tol,
-                              abs_tol=args.abs_tol, t_end=args.t_end,
-                              fixed_horizon=args.fixed_horizon)
-    tols = ToleranceSet(stationarity=args.stationarity_tol)
+    # each option named after an IntegratorConfig field sets it
+    config = IntegratorConfig(**{f.name: getattr(args, f.name) for f in fields(IntegratorConfig)})
     # '1,2,3;4,5' -> zero-based priority groups; solve adds the rows in none
-    pts_groups = [[_number(tok, "--pts", int) - 1 for tok in part.split(",")]
+    pts_groups = [[_index(tok, f"--pts {args.pts}", "row", problem.r) for tok in part.split(",")]
                   for part in (args.pts or "").split(";") if part.strip()] or None
 
     def run_once(theta0):
         start = time.perf_counter()
-        traj = solve(problem, theta0, gains, integrator=config, tolerances=tols,
-                     pts_groups=pts_groups)
+        traj = solve(problem, theta0, gains, integrator=config, pts_groups=pts_groups)
         return traj, time.perf_counter() - start
 
     return problem, points, run_once
 
 
 def _config_echo(args, theta0):
-    keys = ["problem", "size", "k_theta", "k_h", "k_g", "method", "rel_tol",
-            "abs_tol", "t_end", "fixed_horizon", "pts", "stationarity_tol"]
+    keys = ["problem", "size", "k_theta", "k_h", "k_g", "k_theta_file", "k_h_file",
+            "k_g_file", "method", "rel_tol", "abs_tol", "t_end", "fixed_horizon", "pts",
+            "stationarity_tol"]
     echo = {k: getattr(args, k, None) for k in keys}
+    for k in ("k_theta", "k_h", "k_g"):
+        if echo[k + "_file"] is not None:   # the file's gains ran, not the scalar's
+            echo[k] = None
     echo["theta0"] = [float(v) for v in theta0]
     return echo
 
 
-def cmd_run(args):
-    problem, points, run_once = _setup(args)
-    theta0 = points[0]
-    traj, wall = run_once(theta0)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory(out_dir / "trajectory.csv", problem, traj)
-    summary = _summary(problem, traj, _config_echo(args, theta0), args.seed, wall)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    at = f" at tau={traj.final.tau:.6g}" if traj.samples else ""
-    print(f"{problem.name}: {traj.verdict}{at} ({traj.step_count} steps, {wall:.3f}s)")
-    if "error_to_known_optimum" in summary:
-        print(f"  error vs known optimum: {summary['error_to_known_optimum']:.3e}")
-    return 0 if traj.verdict in ("converged", "horizon-reached") else 1
+def _stats(values):
+    return {"average": float(np.mean(values)),
+            "minimum": float(np.min(values)),
+            "maximum": float(np.max(values))}
 
 
-def cmd_multistart(args):
+def cmd_solve(args):
+    """``run`` and ``multistart``: solve from each start point and write its
+    trajectory and summary; a multistart names them ``run_KK_*`` and adds
+    ``multistart.json`` and a table.  Exit 1 when a solve ends in an error
+    verdict."""
+    multi = args.command == "multistart"
     problem, points, run_once = _setup(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, theta0 in enumerate(points):
         traj, wall = run_once(theta0)
-        _write_trajectory(out_dir / f"run_{k:02d}_trajectory.csv", problem, traj)
+        prefix = f"run_{k:02d}_" if multi else ""
+        _write_trajectory(out_dir / f"{prefix}trajectory.csv", problem, traj)
         summary = _summary(problem, traj, _config_echo(args, theta0), args.seed, wall)
-        (out_dir / f"run_{k:02d}_summary.json").write_text(
+        (out_dir / f"{prefix}summary.json").write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         rows.append({
             "run": k,
@@ -209,36 +216,35 @@ def cmd_multistart(args):
             "error": summary.get("error_to_known_optimum"),
             "wall_time_s": wall,
         })
+        if not multi:
+            at = f" at tau={traj.final.tau:.6g}" if traj.samples else ""
+            print(f"{problem.name}: {traj.verdict}{at} ({traj.step_count} steps, {wall:.3f}s)")
+            if "error_to_known_optimum" in summary:
+                print(f"  error vs known optimum: {summary['error_to_known_optimum']:.3e}")
 
-    errors = [r["error"] for r in rows if r["error"] is not None]
-    times = [r["wall_time_s"] for r in rows]
-    aggregate = {
-        "schema_version": SUMMARY_SCHEMA,
-        "problem": problem.name,
-        "count": len(rows),
-        "runs": rows,
-        "seed": args.seed,
-        "error": (None if not errors else
-                  {"average": float(np.mean(errors)),
-                   "minimum": float(np.min(errors)),
-                   "maximum": float(np.max(errors))}),
-        "wall_time_s": {"average": float(np.mean(times)),
-                        "minimum": float(np.min(times)),
-                        "maximum": float(np.max(times))},
-    }
-    (out_dir / "multistart.json").write_text(
-        json.dumps(aggregate, indent=2) + "\n", encoding="utf-8")
+    if multi:
+        errors = [r["error"] for r in rows if r["error"] is not None]
+        aggregate = {
+            "schema_version": SUMMARY_SCHEMA,
+            "problem": problem.name,
+            "count": len(rows),
+            "runs": rows,
+            "seed": args.seed,
+            "error": _stats(errors) if errors else None,
+            "wall_time_s": _stats([r["wall_time_s"] for r in rows]),
+        }
+        (out_dir / "multistart.json").write_text(
+            json.dumps(aggregate, indent=2) + "\n", encoding="utf-8")
 
-    print(f"{'run':>4} {'verdict':>16} {'error':>12} {'time (s)':>9}")
-    for r in rows:
-        err = "-" if r["error"] is None else f"{r['error']:.4e}"
-        print(f"{r['run']:>4} {r['verdict']:>16} {err:>12} {r['wall_time_s']:>9.3f}")
-    if aggregate["error"]:
-        e = aggregate["error"]
-        print(f"error  avg {e['average']:.4e}  min {e['minimum']:.4e}  "
-              f"max {e['maximum']:.4e}")
-    bad = [r for r in rows if r["verdict"].startswith("error")]
-    return 1 if bad else 0
+        print(f"{'run':>4} {'verdict':>16} {'error':>12} {'time (s)':>9}")
+        for r in rows:
+            err = "-" if r["error"] is None else f"{r['error']:.4e}"
+            print(f"{r['run']:>4} {r['verdict']:>16} {err:>12} {r['wall_time_s']:>9.3f}")
+        if errors:
+            e = aggregate["error"]
+            print(f"error  avg {e['average']:.4e}  min {e['minimum']:.4e}  "
+                  f"max {e['maximum']:.4e}")
+    return 1 if any(r["verdict"].startswith("error") for r in rows) else 0
 
 
 def cmd_list(args):
@@ -269,18 +275,17 @@ def _add_run_options(p):
                    help="'v1,v2,...' or 'sample:lo,hi'")
     p.add_argument("--fix", action="append", metavar="K=V",
                    help="pin component K (1-based) to V after sampling")
-    p.add_argument("--k-theta", type=float, default=0.1)
-    p.add_argument("--k-h", type=float, default=0.1)
-    p.add_argument("--k-g", type=float, default=0.1)
-    p.add_argument("--k-theta-file", default=None)
-    p.add_argument("--k-h-file", default=None)
-    p.add_argument("--k-g-file", default=None)
-    p.add_argument("--method", choices=("rk45", "stiff"), default="rk45")
-    p.add_argument("--rel-tol", type=float, default=1e-3)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--t-end", type=float, default=100.0)
+    for gain in ("theta", "h", "g"):   # a scalar gain or its file, not both
+        pair = p.add_mutually_exclusive_group()
+        pair.add_argument(f"--k-{gain}", type=float, default=0.1)
+        pair.add_argument(f"--k-{gain}-file", default=None)
+    defaults = IntegratorConfig()
+    p.add_argument("--method", choices=("rk45", "stiff"), default=defaults.method)
+    p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
+    p.add_argument("--t-end", type=float, default=defaults.t_end)
     p.add_argument("--fixed-horizon", action="store_true")
-    p.add_argument("--stationarity-tol", type=float, default=1e-6)
+    p.add_argument("--stationarity-tol", type=float, default=defaults.stationarity_tol)
     p.add_argument("--pts", default=None,
                    help="priority groups of 1-based rows, e.g. '1,2,3;4,5'")
     p.add_argument("--out", default=".")
@@ -295,12 +300,12 @@ def build_parser():
 
     run = sub.add_parser("run", help="single solve")
     _add_run_options(run)
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_solve)
 
     multi = sub.add_parser("multistart", help="batch of seeded solves")
     _add_run_options(multi)
     multi.add_argument("--count", type=int, default=10)
-    multi.set_defaults(func=cmd_multistart)
+    multi.set_defaults(func=cmd_solve)
 
     lst = sub.add_parser("list", help="list builtin problems")
     lst.add_argument("--json", action="store_true")

@@ -23,6 +23,7 @@ from .errors import (CyclingError, InfeasibleSubproblemError, InvalidInputError,
                      NumericFailureError)
 from .linalg import pinv_gram, rank_cutoff
 
+_EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 # a working multiplier below -_SIGN_TOL leaves the working set; an activated
 # row whose decay residual dg_i/dtau + k_g[i] g_i exceeds _DYN_TOL joins it
 _SIGN_TOL = 1e-9
@@ -51,6 +52,9 @@ class GainSet:
         object.__setattr__(self, "k_theta", np.asarray(self.k_theta, dtype=float))
         object.__setattr__(self, "k_h", np.asarray(self.k_h, dtype=float))
         object.__setattr__(self, "k_g", np.atleast_1d(np.asarray(self.k_g, dtype=float)))
+        for name in ("k_theta", "k_h", "k_g"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be finite")
         for name in ("k_theta", "k_h"):
             m = getattr(self, name)
             if m.size == 0:
@@ -67,7 +71,8 @@ class GainSet:
     @classmethod
     def uniform(cls, n, s, r, k_theta=0.1, k_h=0.1, k_g=0.1):
         """Scalar shorthands expanded to scaled identities / constant vectors."""
-        return cls(k_theta * np.eye(n), k_h * np.eye(s), np.full(r, float(k_g)))
+        return cls(np.diag(np.full(n, float(k_theta))), np.diag(np.full(s, float(k_h))),
+                   np.full(r, float(k_g)))
 
 
 @dataclass(frozen=True)
@@ -150,17 +155,17 @@ class RhsResult:
     stacked_jacobian_rank: int
 
 
-def classify(point, eps_act, pts=None, warm=()):
+def classify(point, pts=None, warm=()):
     """Initial working-set candidate at a point.
 
-    Activated means g_i >= -eps_act among priority-enabled rows; the working
+    Activated means g_i >= -_EPS_ACT among priority-enabled rows; the working
     candidate is the previous step's working set intersected with the
     activated set (warm start).
     """
     r = point.g.size
     pts = PtsState.covering(r) if pts is None else pts
     enabled = pts.enabled_indices()
-    activated = tuple(i for i in enabled if point.g[i] >= -eps_act)
+    activated = tuple(i for i in enabled if point.g[i] >= -_EPS_ACT)
     working = tuple(i for i in warm if i in activated)
     return WorkingSet(activated=activated, working=working)
 

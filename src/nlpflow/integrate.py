@@ -28,20 +28,20 @@ _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailure
 _H_INIT = 1e-3          # first step, as a fraction of t_end
 _H_MAX = 0.1            # step-size ceiling, as a fraction of t_end
 _MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
-_EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 _ENDGAME_HOLD = 3       # snapshots with one working set before the endgame starts
 _ENDGAME_GROWTH = 2.0   # least growth of the endgame's h per kept iteration
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection, tolerances, and horizon.
+    """Stepper selection, tolerances, horizon, and the convergence test.
 
     The first step is ``_H_INIT * t_end`` and no step exceeds
     ``_H_MAX * t_end``; steps never fall below ``_H_MIN``.
     ``fixed_horizon`` disables early termination on convergence and the
     endgame, matching runs that integrate the full horizon for table
-    reproduction.
+    reproduction.  A snapshot converges when ``monitor.converged`` holds
+    for its KKT report at ``stationarity_tol``.
     """
 
     method: str = "rk45"
@@ -49,12 +49,14 @@ class IntegratorConfig:
     abs_tol: float = 1e-6
     t_end: float = 100.0
     fixed_horizon: bool = False
+    stationarity_tol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in ("rk45", "stiff"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.t_end <= 0:
-            raise InvalidInputError("tolerances and t_end must be positive")
+        for name in ("rel_tol", "abs_tol", "t_end", "stationarity_tol"):
+            if not 0 < getattr(self, name) < math.inf:   # also false for nan
+                raise InvalidInputError(f"{name} must be positive and finite")
         if _H_INIT * self.t_end < _H_MIN:
             raise InvalidInputError(f"t_end must be at least {_H_MIN / _H_INIT:g}")
 
@@ -97,7 +99,7 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
     return float(np.max(np.abs(err) / scale))
 
 
-def step_rk45(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, f0=None):
+def step_rk45(rhs, y, h, rel_tol, abs_tol, f0=None):
     """One embedded 5(4) step.  Returns (y_new, err_norm); the step is
     acceptable when err_norm <= 1.  ``f0 = rhs(y)``, the first stage, may
     be reused across rejected attempts at the same point."""
@@ -155,13 +157,11 @@ def lu_factor(a):
     return factor(a)
 
 
-def step_stiff(rhs, y, h, rel_tol=1e-3, abs_tol=1e-6, jac=None, f0=None):
-    """One L-stable Rosenbrock 4(3) step.  Same return convention and
-    acceptance test as step_rk45.  ``jac`` and ``f0`` may be reused across
-    rejected attempts at the same point."""
+def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0=None):
+    """One L-stable Rosenbrock 4(3) step on the Jacobian ``jac`` of ``rhs``
+    at y.  Same return convention and acceptance test as step_rk45.  ``jac``
+    and ``f0`` may be reused across rejected attempts at the same point."""
     f0 = rhs(y) if f0 is None else f0
-    if jac is None:
-        jac = fd_jacobian(rhs, y, f0)
     from scipy.linalg import lu_solve
     n = y.size
     lhs = np.eye(n) / (h * _ROS_GAMMA) - jac
@@ -305,8 +305,7 @@ class Trajectory:
         return self.samples[-1]
 
 
-def solve(problem, theta0, gains, integrator=None, tolerances=None,
-          pts_groups=None):
+def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     """Integrate the flow from theta0 until convergence or the horizon.
 
     ``pts_groups`` lists inequality index groups in priority order; the rows
@@ -340,7 +339,6 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
     theta0 = np.asarray(theta0, dtype=float)
     _check_gains(gains, problem)
     config = IntegratorConfig() if integrator is None else integrator
-    tols = monitor.ToleranceSet() if tolerances is None else tolerances
     pts = dynamics.PtsState.covering(problem.r, pts_groups or ())
 
     traj = Trajectory()
@@ -358,7 +356,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
         return last
 
     def flow(point):
-        candidate = dynamics.classify(point, _EPS_ACT, pts, warm)
+        candidate = dynamics.classify(point, pts, warm)
         return dynamics.resolve_working_set(point, gains, candidate)
 
     def rhs(theta):
@@ -386,7 +384,7 @@ def solve(problem, theta0, gains, integrator=None, tolerances=None,
             working=warm, report=report,
             lyapunov=monitor.lyapunov_value(point, res.working_set.activated),
             objective=point.f))
-        if tols.satisfied_by(report) and not config.fixed_horizon:
+        if monitor.converged(report, config.stationarity_tol) and not config.fixed_horizon:
             traj.verdict = "converged"
         return traj.verdict != "continue"
 

@@ -30,22 +30,13 @@ class KktReport:
                    self.complementarity, self.sign_violation)
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Per-residual convergence tolerances."""
-
-    stationarity: float = 1e-6
-    ec_violation: float = 1e-8
-    iec_violation: float = 1e-8
-    complementarity: float = 1e-8
-    sign_violation: float = 1e-9
-
-    def satisfied_by(self, report):
-        return (report.stationarity <= self.stationarity
-                and report.ec_violation <= self.ec_violation
-                and report.iec_violation <= self.iec_violation
-                and report.complementarity <= self.complementarity
-                and report.sign_violation <= self.sign_violation)
+def converged(report, stationarity_tol):
+    """True when a snapshot counts as the KKT point: stationarity within
+    ``stationarity_tol``, equality and inequality violation and
+    complementarity within 1e-8, and multiplier signs within 1e-9."""
+    return (report.stationarity <= stationarity_tol
+            and report.ec_violation <= 1e-8 and report.iec_violation <= 1e-8
+            and report.complementarity <= 1e-8 and report.sign_violation <= 1e-9)
 
 
 def kkt_report(point, rhs):

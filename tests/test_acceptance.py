@@ -162,10 +162,10 @@ def test_criterion_5b_redundant_equality_invariance():
         for _ in range(10):
             point = evaluate(problem, rng.uniform(-3, 3, size=3))
             gains = GainSet.uniform(3, point.h.size, 5)
-            base = resolve_working_set(point, gains, classify(point, 1e-8))
+            base = resolve_working_set(point, gains, classify(point))
             ext = TestRedundantRows.with_extra_equality_row(point, scale)
             more = resolve_working_set(ext, GainSet.uniform(3, ext.h.size, 5),
-                                       classify(ext, 1e-8))
+                                       classify(ext))
             worst = max(worst, float(np.abs(base.dtheta - more.dtheta).max()))
         for _ in range(10):
             n = int(rng.integers(2, 5))
@@ -253,7 +253,7 @@ def test_criterion_5d_working_set_oracle():
                            h=d @ theta - rng.uniform(-0.5, 0.5, size=s) if s else (),
                            h_jac=d)
         gains = GainSet.uniform(n, s, r, k_theta=1.0, k_h=1.0, k_g=1.0)
-        candidate = classify(point, eps_act=1e-8)
+        candidate = classify(point)
         oracle = brute_force_directions(point, gains, candidate)
         try:
             res = resolve_working_set(point, gains, candidate)
@@ -279,7 +279,7 @@ def test_criterion_5e_equilibrium_iff_kkt():
         problem = builtin(name, size=size)
         point = evaluate(problem, problem.known_optimum)
         gains = GainSet.uniform(problem.n, problem.s, problem.r)
-        res = resolve_working_set(point, gains, classify(point, 1e-8))
+        res = resolve_working_set(point, gains, classify(point))
         rhs_norm = float(np.linalg.norm(res.dtheta))
         rep = monitor.kkt_report(point, res)
         checks.append((rhs_norm <= 1e-10, f"{name}: RHS norm {rhs_norm:.2e}"))

@@ -34,8 +34,11 @@ def test_list_json(capsys):
     assert by_name["ec-quadratic"]["known_optimum"] == [1.0, 1.0]
 
 
-def test_run_writes_csv_and_summary(tmp_path):
+def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert run_example1(tmp_path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("example1: horizon-reached at tau=300 (")
+    assert out[1].startswith("  error vs known optimum: ") and len(out) == 2
     csv = (tmp_path / "trajectory.csv").read_text().splitlines()
     header = csv[0].split(",")
     assert header[:4] == ["tau", "theta_1", "theta_2", "theta_3"]
@@ -102,14 +105,46 @@ def test_run_theta0_dimension_mismatch(tmp_path, capsys):
     (["--theta0", "1,1,1", "--fix", "0=1"], "component 0"),
     (["--theta0", "1,1,1", "--fix", "4=1"], "component 4"),
     (["--theta0", "1,1,1", "--pts", "a"], "'a'"),
-    (["--theta0", "1,1,1", "--pts", "0"], "row -1"),
-    (["--theta0", "1,1,1", "--pts", "1,2;6"], "row 5"),
+    (["--theta0", "1,1,1", "--pts", "0"], "row 0 outside 1..5"),
+    (["--theta0", "1,1,1", "--pts", "1,2;6"], "row 6 outside 1..5"),
+    (["--theta0", "nan,1,1"], "'nan'"),
+    (["--theta0", "sample:0,inf"], "'inf'"),
+    (["--theta0", "sample:-1e308,1e308"], "range too wide"),
+    (["--theta0", "1,1,1", "--fix", "1=-inf"], "'-inf'"),
+    (["--problem", "{tmp}/missing.nlp", "--theta0", "1"], "--problem {tmp}/missing.nlp"),
+    (["--problem", "{tmp}", "--theta0", "1"], "--problem {tmp}"),
+    (["--theta0", "1,1,1", "--k-g-file", "{tmp}/missing.txt"], "--k-g-file {tmp}/missing.txt"),
+    (["--theta0", "1,1,1", "--k-theta-file", "{tmp}/bad.txt"], "--k-theta-file {tmp}/bad.txt"),
+    (["--theta0", "1,1,1", "--k-theta", "inf"], "k_theta must be finite"),
+    (["--theta0", "1,1,1", "--k-g", "nan"], "k_g must be finite"),
+    (["--theta0", "1,1,1", "--rel-tol", "nan"], "rel_tol"),
+    (["--theta0", "1,1,1", "--t-end", "inf"], "t_end"),
+    (["--theta0", "1,1,1", "--stationarity-tol", "0"], "stationarity_tol"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, options, token):
+    (tmp_path / "bad.txt").write_text("1 x\n0 1\n")
+    options = [o.format(tmp=tmp_path) for o in options]
     assert main(["run", "--problem", "example1", *options, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and token in err
+    assert err.startswith("error: ") and token.format(tmp=tmp_path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gain", ["theta", "h", "g"])
+def test_scalar_gain_and_its_file_exclude_each_other(tmp_path, capsys, gain):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--problem", "example1", "--theta0", "1,1,1", f"--k-{gain}", "1",
+              f"--k-{gain}-file", str(tmp_path / "k.txt"), "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_multistart_count_below_one_exits_2(tmp_path, capsys, count):
+    assert main(["multistart", "--problem", "example1", "--theta0", "sample:-1,1",
+                 "--count", count, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --count") and "Traceback" not in err
 
 
 def test_unknown_problem_exits_2(tmp_path, capsys):
@@ -154,6 +189,11 @@ def test_gain_matrix_from_file(tmp_path):
                  "--t-end", "30", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert np.allclose(summary["theta_final"], [1.0, 1.0], atol=1e-4)
+    # the echo names the file that ran, so a replay uses the same gains
+    config = summary["config"]
+    assert (config["k_theta"], config["k_theta_file"]) == (None, str(ktheta))
+    assert (config["k_h"], config["k_h_file"]) == (1.0, None)
+    assert (config["k_g"], config["k_g_file"]) == (0.1, None)
 
 
 def test_stiff_run_reports_jacobian_count(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ class TestGainSet:
         with pytest.raises(InvalidInputError):
             GainSet(np.diag([1.0, -1.0]), np.eye(1), np.ones(1))
 
+    @pytest.mark.parametrize("gains", [
+        (np.full((2, 2), math.nan), np.eye(1), np.ones(1)),
+        (np.eye(2), np.diag([math.inf]), np.ones(1)),
+        (np.eye(2), np.eye(1), np.array([1.0, math.inf])),
+    ])
+    def test_rejects_non_finite(self, gains):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            GainSet(*gains)
+
+    def test_uniform_rejects_non_finite_without_warning(self):
+        # an infinite scalar is not multiplied by the identity's zeros
+        for scalars in ((math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)):
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                GainSet.uniform(2, 1, 1, *scalars)
+
     def test_rejects_nonpositive_decay(self):
         with pytest.raises(InvalidInputError):
             GainSet(np.eye(2), np.eye(1), np.array([1.0, 0.0]))
@@ -94,18 +110,18 @@ class TestPrioritySchedule:
 class TestClassify:
     def test_example1_at_optimum(self):
         point = evaluate(builtin("example1"), OPT1)
-        ws = classify(point, eps_act=1e-8)
+        ws = classify(point)
         assert ws.activated == (3,)
         assert ws.working == ()
 
     def test_interior_point_empty(self):
         point = make_point(np.zeros(1), np.zeros(1), g=[-1.0, -0.5])
-        assert classify(point, 1e-8).activated == ()
+        assert classify(point).activated == ()
 
     def test_priority_filtering_and_warm_start(self):
         point = make_point(np.zeros(1), np.zeros(1), g=[0.2, 0.3, 0.4])
         pts = PtsState(groups=((0, 1), (2,)))
-        ws = classify(point, 1e-8, pts, warm=(1, 2))
+        ws = classify(point, pts, warm=(1, 2))
         assert ws.activated == (0, 1)
         assert ws.working == (1,)    # warm index 2 is not enabled yet
 
@@ -134,7 +150,7 @@ class TestRhsClosedForms:
     def test_example1_multipliers_at_optimum(self):
         point = evaluate(builtin("example1"), OPT1)
         gains = GainSet.uniform(3, 2, 5)
-        res = resolve_working_set(point, gains, classify(point, 1e-8))
+        res = resolve_working_set(point, gains, classify(point))
         assert np.abs(res.dtheta).max() <= 1e-10
         assert np.allclose(res.pi_e, [0.35, 0.70], atol=1e-10)
         assert np.isclose(res.pi_i[3], 0.75, atol=1e-10)
@@ -203,10 +219,10 @@ class TestRedundantRows:
         for _ in range(10):
             point = evaluate(problem, rng.uniform(-3, 3, size=3))
             gains = GainSet.uniform(3, point.h.size, 5)
-            base = resolve_working_set(point, gains, classify(point, 1e-8))
+            base = resolve_working_set(point, gains, classify(point))
             extended = self.with_extra_equality_row(point, scale)
             gains_ext = GainSet.uniform(3, extended.h.size, 5)
-            more = resolve_working_set(extended, gains_ext, classify(extended, 1e-8))
+            more = resolve_working_set(extended, gains_ext, classify(extended))
             assert np.abs(base.dtheta - more.dtheta).max() <= 1e-8
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
@@ -265,7 +281,7 @@ class TestWorkingSetResolution:
                                g=b_mat @ theta - c, g_jac=b_mat,
                                h=d @ theta - e if s else (), h_jac=d)
             gains = GainSet.uniform(n, s, r, k_theta=1.0, k_h=1.0, k_g=1.0)
-            candidate = classify(point, eps_act=1e-8)
+            candidate = classify(point)
             oracle = brute_force_directions(point, gains, candidate)
             try:
                 res = resolve_working_set(point, gains, candidate)

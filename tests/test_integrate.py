@@ -18,7 +18,7 @@ from nlpflow.errors import (EvaluationError, InvalidInputError, NlpflowError,
                             NumericFailureError, StepFailureError)
 from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, fd_jacobian, step_rk45,
                                step_stiff)
-from nlpflow.monitor import ToleranceSet
+from nlpflow.monitor import converged
 from nlpflow.problems import NlpProblem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,6 +73,10 @@ class TestConfig:
             IntegratorConfig(t_end=-1.0)
         with pytest.raises(InvalidInputError):
             IntegratorConfig(t_end=1e-10)   # a first step below the step-size floor
+        for name in ("rel_tol", "abs_tol", "t_end", "stationarity_tol"):
+            for value in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(InvalidInputError, match=name):
+                    IntegratorConfig(**{name: value})
 
 
 class TestSteppers:
@@ -106,8 +110,8 @@ class TestSteppers:
 
     def test_single_step_acceptance_contract(self):
         y = np.array([1.0])
-        for stepper in (step_rk45, step_stiff):
-            y_new, err_norm = stepper(decay, y, 1e-3)
+        for stepper, jac in ((step_rk45, {}), (step_stiff, {"jac": -np.eye(1)})):
+            y_new, err_norm = stepper(decay, y, 1e-3, 1e-3, 1e-6, **jac)
             assert err_norm <= 1.0
             assert abs(y_new[0] - math.exp(-1e-3)) <= 1e-9
 
@@ -257,7 +261,7 @@ class TestStepControl:
         # the endgame takes over before the hard start rejects a step
         traj = solve_example1(EX1_HARD_START, method, fixed_horizon=True)
         assert traj.verdict == "horizon-reached"
-        assert ToleranceSet().satisfied_by(traj.final.report)
+        assert converged(traj.final.report, IntegratorConfig().stationarity_tol)
         retries = [i for i in range(1, len(attempts) - 1)
                    if attempts[i][1] and not attempts[i - 1][1]]
         assert retries
@@ -350,7 +354,7 @@ class TestSolve:
         traj = solve(p, np.array([1.0, -1.0]), gains, integrator=IntegratorConfig(t_end=10.0))
         assert traj.verdict == "horizon-reached"
         assert traj.final.tau == 10.0
-        assert traj.final.report.stationarity > ToleranceSet().stationarity
+        assert traj.final.report.stationarity > IntegratorConfig().stationarity_tol
         assert traj.endgame_fallbacks > 0
         assert traj.endgame_steps == 0
 
@@ -422,7 +426,7 @@ class TestSolve:
         monkeypatch.setattr(nlpflow.integrate, "step_rk45", counted)
         traj = solve_example1(EX1_HARD_START, fixed_horizon=True)
         assert traj.verdict == "horizon-reached"
-        assert ToleranceSet().satisfied_by(traj.final.report)
+        assert converged(traj.final.report, IntegratorConfig().stationarity_tol)
         assert traj.rejected_count > 0
         assert attempts[0] == traj.step_count + traj.rejected_count
 

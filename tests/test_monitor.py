@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 
 from nlpflow import GainSet, builtin
 from nlpflow.dynamics import WorkingSet, classify, resolve_working_set, rhs_general
-from nlpflow.monitor import KktReport, ToleranceSet, kkt_report, lyapunov_value
+from nlpflow.monitor import KktReport, converged, kkt_report, lyapunov_value
 from nlpflow.problems import evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
@@ -20,20 +22,26 @@ def test_max_residual():
     assert zero_report().max_residual() == 0.0
 
 
-def test_tolerance_set_defaults():
-    tols = ToleranceSet()
-    assert tols.satisfied_by(zero_report())
-    assert not tols.satisfied_by(zero_report(stationarity=1e-5))
-    assert not tols.satisfied_by(zero_report(sign_violation=1e-8))
+def test_converged_thresholds():
+    assert converged(zero_report(), 1e-6)
+    assert converged(zero_report(stationarity=1e-6, ec_violation=1e-8, iec_violation=1e-8,
+                                 complementarity=1e-8, sign_violation=1e-9), 1e-6)
+    assert not converged(zero_report(stationarity=1e-5), 1e-6)
+    assert converged(zero_report(stationarity=1e-5), 1e-4)
+    # the fixed thresholds hold whatever the stationarity tolerance
+    for name, value in (("ec_violation", 2e-8), ("iec_violation", 2e-8),
+                        ("complementarity", 2e-8), ("sign_violation", 2e-9),
+                        ("stationarity", math.nan)):
+        assert not converged(zero_report(**{name: value}), 1.0)
 
 
 def test_report_at_example1_optimum():
     point = evaluate(builtin("example1"), OPT1)
     gains = GainSet.uniform(3, 2, 5)
-    res = resolve_working_set(point, gains, classify(point, 1e-8))
+    res = resolve_working_set(point, gains, classify(point))
     report = kkt_report(point, res)
     assert report.max_residual() <= 1e-10
-    assert ToleranceSet().satisfied_by(report)
+    assert converged(report, 1e-6)
 
 
 def test_report_flags_infeasible_point():
@@ -51,7 +59,7 @@ def test_report_flags_infeasible_point():
 def test_complementarity_covers_all_rows():
     point = evaluate(builtin("example1"), np.array([2.5, 0.3, 0.2]))
     gains = GainSet.uniform(3, 2, 5)
-    res = resolve_working_set(point, gains, classify(point, 1e-8))
+    res = resolve_working_set(point, gains, classify(point))
     report = kkt_report(point, res)
     expected = np.abs(res.pi_i * point.g).max()
     assert np.isclose(report.complementarity, expected)
