@@ -75,40 +75,41 @@ class GainSet:
                    np.full(r, float(k_g)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PtsState:
     """Priority schedule over inequality groups.
 
-    ``groups`` partitions the inequality indices by priority (group 0 first);
-    ``enabled`` counts how many leading groups are currently enforced.
-    Enablement is monotone: once a group joins it never leaves.
+    ``group[i]`` is row i's priority group (0 first) among ``count`` groups,
+    as ``covering`` builds them; ``enabled`` counts how many leading groups
+    are currently enforced, so the mask ``group < enabled`` gives the enforced
+    rows in increasing order.  Enablement is monotone: once a group joins it
+    never leaves.
     """
 
-    groups: tuple
+    group: np.ndarray
+    count: int
     enabled: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "groups",
-                           tuple(tuple(sorted(int(i) for i in g)) for g in self.groups))
-        seen = [i for g in self.groups for i in g]
-        if len(set(seen)) != len(seen):
-            raise InvalidInputError("priority groups must be disjoint")
-        if not 1 <= self.enabled <= max(1, len(self.groups)):
-            raise InvalidInputError("enabled group count out of range")
 
     @classmethod
     def covering(cls, r, groups=()):
         """``groups`` of the rows 0..r-1 in priority order, then the rows in
-        none; a row outside [0, r) is an InvalidInputError."""
-        groups = [tuple(g) for g in groups]
-        bad = set().union(*groups).difference(range(r))
+        none; a row outside [0, r), a row in two groups or a group that is
+        not a sequence of rows is an InvalidInputError."""
+        try:
+            groups = [list(g) for g in groups]
+            bad = sorted(set().union(*groups).difference(range(r)))
+        except TypeError:
+            raise InvalidInputError("priority groups must be sequences of rows") from None
         if bad:
-            raise InvalidInputError(f"priority group row {min(bad)} outside [0, {r})")
-        rest = set(range(r)).difference(*groups)
-        return cls(groups=groups + [rest] if rest or not groups else groups)
-
-    def enabled_indices(self):
-        return sorted(i for g in self.groups[:self.enabled] for i in g)
+            raise InvalidInputError(f"priority group row {bad[0]} outside [0, {r})")
+        rows = [i for g in groups for i in g]
+        if len(set(rows)) != len(rows):
+            raise InvalidInputError("priority groups must be disjoint")
+        group = np.full(r, len(groups))
+        for k, g in enumerate(groups):
+            group[np.array(g, dtype=int)] = k
+        # the rows in none form a last group, which is also the only one when none is given
+        return cls(group, len(groups) + int(len(rows) < r or not groups))
 
 
 def pts_update(state, point):
@@ -120,26 +121,23 @@ def pts_update(state, point):
     part of the schedule.
     """
     enabled = state.enabled
-    while enabled < len(state.groups):
-        idx = [i for g in state.groups[:enabled] for i in g]
-        if idx and np.max(point.g[idx]) > 1e-6:
-            break
+    while enabled < state.count and not np.any(point.g[state.group < enabled] > 1e-6):
         enabled += 1
     if enabled == state.enabled:
         return state
-    return PtsState(groups=state.groups, enabled=enabled)
+    return PtsState(state.group, state.count, enabled)
 
 
 @dataclass(frozen=True)
 class WorkingSet:
-    """Activated inequality indices and the working subset treated as equalities."""
+    """Activated inequality rows and the working subset treated as equalities,
+    each a tuple of distinct rows in increasing order as ``classify`` and
+    ``resolve_working_set`` build them; nothing re-sorts them."""
 
     activated: tuple
     working: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "activated", tuple(sorted(set(self.activated))))
-        object.__setattr__(self, "working", tuple(sorted(set(self.working))))
         if not set(self.working) <= set(self.activated):
             raise InvalidInputError("working set must be a subset of activated set")
 
@@ -159,15 +157,15 @@ def classify(point, pts=None, warm=()):
     """Initial working-set candidate at a point.
 
     Activated means g_i >= -_EPS_ACT among priority-enabled rows; the working
-    candidate is the previous step's working set intersected with the
-    activated set (warm start).
+    candidate is the previous step's working set (sorted rows) intersected
+    with the activated set (warm start).
     """
-    r = point.g.size
-    pts = PtsState.covering(r) if pts is None else pts
-    enabled = pts.enabled_indices()
-    activated = tuple(i for i in enabled if point.g[i] >= -_EPS_ACT)
-    working = tuple(i for i in warm if i in activated)
-    return WorkingSet(activated=activated, working=working)
+    on = point.g >= -_EPS_ACT
+    if pts is not None:
+        on &= pts.group < pts.enabled
+    warm = np.asarray(warm, dtype=int)
+    return WorkingSet(activated=tuple(np.flatnonzero(on).tolist()),
+                      working=tuple(warm[on[warm]].tolist()))
 
 
 def rhs_general(point, gains, ws):
@@ -178,11 +176,8 @@ def rhs_general(point, gains, ws):
     inequality follows dg_i/dtau = -k_g[i] g_i.
     """
     s = point.h.size
-    working = sorted(ws.working)
-    if working:
-        hbar = np.vstack([point.h_jac, point.g_jac[working]])
-    else:
-        hbar = point.h_jac
+    working = list(ws.working)
+    hbar = np.vstack([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
     if m == 0:
         pi = np.zeros(0)
@@ -203,8 +198,7 @@ def rhs_general(point, gains, ws):
             f"multiplier norm {np.linalg.norm(pi):.3e} exceeds bound "
             f"{_MULTIPLIER_BOUND:.1e}", MultiplierBoundWarning, stacklevel=2)
     pi_i = np.zeros(point.g.size)
-    if working:
-        pi_i[working] = pi[s:]
+    pi_i[working] = pi[s:]
     return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i,
                      working_set=ws, stacked_jacobian_rank=rank)
 
@@ -251,28 +245,28 @@ def resolve_working_set(point, gains, candidate):
     a verdict: an infeasible subproblem raises InfeasibleSubproblemError,
     otherwise CyclingError carries the oscillating sets.
     """
-    activated = list(candidate.activated)
-    working = [i for i in candidate.working if i in activated]
+    activated = np.array(candidate.activated, dtype=int)
+    in_work = np.zeros(point.g.size, dtype=bool)
+    in_work[list(candidate.working)] = True
     history = []
     max_iter = 2 * max(1, point.g.size) + 2
     res = None
     for _ in range(max_iter):
-        ws = WorkingSet(activated=tuple(activated), working=tuple(working))
-        res = rhs_general(point, gains, ws)
-        history.append(tuple(working))
-        if working:
-            mults = res.pi_i[working]
+        w = np.flatnonzero(in_work)
+        history.append(tuple(w.tolist()))
+        res = rhs_general(point, gains, WorkingSet(candidate.activated, history[-1]))
+        if w.size:
+            mults = res.pi_i[w]
             worst = int(np.argmin(mults))
             if mults[worst] < -_SIGN_TOL:
-                working.pop(worst)
+                in_work[w[worst]] = False
                 continue
-        outside = [i for i in activated if i not in working]
-        if outside:
+        outside = activated[~in_work[activated]]
+        if outside.size:
             resid = point.g_jac[outside] @ res.dtheta + gains.k_g[outside] * point.g[outside]
             worst = int(np.argmax(resid))
             if resid[worst] > _DYN_TOL:
-                working.append(outside[worst])
-                working.sort()
+                in_work[outside[worst]] = True
                 continue
         return res
 
@@ -302,35 +296,32 @@ def feasibility_lp(point, gains, box, activated):
     with non-negligible gradient,  (g_i' d + k_g[i] g_i) / ||g_i'|| <= gamma,
     with d box-bounded componentwise.  gamma <= 0 certifies feasibility of
     the direction-finding subproblem.  Rows whose gradient norm falls below
-    the rank cutoff are excluded and reported.
+    the rank cutoff are excluded and reported.  ``activated`` lists rows
+    in increasing order.
     """
     from scipy.optimize import linprog   # only a working set that fails to settle needs it
 
     n = point.theta.size
     s = point.h.size
-    activated = sorted(activated)
-    if s + len(activated) == 0:
+    activated = np.array(activated, dtype=int)
+    if s + activated.size == 0:
         raise InvalidInputError("feasibility LP needs at least one constraint")
     if box <= 0:
         raise InvalidInputError("box bound must be positive")
 
-    norms = np.linalg.norm(point.g_jac[activated], axis=1) if activated else np.zeros(0)
-    cutoff = rank_cutoff((max(1, len(activated)), n), norms.max() if norms.size else 1.0)
-    rows, consts, excluded = [], [], []
-    for i, nrm in zip(activated, norms):
-        if nrm <= cutoff:
-            excluded.append(i)
-            continue
-        rows.append(point.g_jac[i] / nrm)
-        consts.append(gains.k_g[i] * point.g[i] / nrm)
+    norms = np.linalg.norm(point.g_jac[activated], axis=1)
+    cutoff = rank_cutoff((max(1, activated.size), n), norms.max() if norms.size else 1.0)
+    keep = norms > cutoff
+    rows = point.g_jac[activated[keep]] / norms[keep, None]
+    consts = gains.k_g[activated[keep]] * point.g[activated[keep]] / norms[keep]
 
-    gmax = box * np.sqrt(n) + (max(abs(c) for c in consts) if consts else 0.0) + 1.0
+    gmax = box * np.sqrt(n) + np.abs(consts).max(initial=0.0) + 1.0
     c = np.zeros(n + 1)
     c[-1] = 1.0
     a_ub = b_ub = None
-    if rows:
-        a_ub = np.hstack([np.asarray(rows), -np.ones((len(rows), 1))])
-        b_ub = -np.asarray(consts)
+    if consts.size:
+        a_ub = np.hstack([rows, -np.ones((consts.size, 1))])
+        b_ub = -consts
     a_eq = b_eq = None
     if s:
         a_eq = np.hstack([point.h_jac, np.zeros((s, 1))])
@@ -342,4 +333,4 @@ def feasibility_lp(point, gains, box, activated):
         raise InfeasibleSubproblemError(
             f"auxiliary LP has no solution within the box: {sol.message}")
     return LpResult(gamma=float(sol.x[-1]), direction=sol.x[:-1].copy(),
-                    excluded=tuple(excluded))
+                    excluded=tuple(activated[~keep].tolist()))

@@ -333,13 +333,17 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
     else the integration resumes from the last snapshot.
 
-    Raises InvalidInputError when the gain shapes do not fit the problem or
-    a priority group names a row outside [0, r).
+    Raises InvalidInputError when theta0 is not numeric, the gain shapes do
+    not fit the problem, or the priority groups are not disjoint sequences of
+    rows in [0, r).
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    try:
+        theta0 = np.asarray(theta0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"theta0 is not a vector of numbers: {exc}") from None
     _check_gains(gains, problem)
     config = IntegratorConfig() if integrator is None else integrator
-    pts = dynamics.PtsState.covering(problem.r, pts_groups or ())
+    pts = dynamics.PtsState.covering(problem.r, () if pts_groups is None else pts_groups)
 
     traj = Trajectory()
     ode = OdeResult()
@@ -389,7 +393,7 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
         return traj.verdict != "continue"
 
     def endgame_ready():
-        return held >= _ENDGAME_HOLD and not config.fixed_horizon and pts.enabled >= len(pts.groups)
+        return held >= _ENDGAME_HOLD and not config.fixed_horizon and pts.enabled >= pts.count
 
     def endgame():
         """Iterate from the last snapshot until a verdict or a fallback."""

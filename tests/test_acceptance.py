@@ -5,7 +5,6 @@ then asserts.  Run with ``pytest -s tests/test_acceptance.py`` to see the
 lines inline.
 """
 
-import itertools
 import math
 import time
 

@@ -120,6 +120,7 @@ def test_run_theta0_dimension_mismatch(tmp_path, capsys):
     (["--theta0", "1,1,1", "--rel-tol", "nan"], "rel_tol"),
     (["--theta0", "1,1,1", "--t-end", "inf"], "t_end"),
     (["--theta0", "1,1,1", "--stationarity-tol", "0"], "stationarity_tol"),
+    (["--theta0", "1,1,1", "--pts", "1,2;2,3"], "disjoint"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, options, token):
     (tmp_path / "bad.txt").write_text("1 x\n0 1\n")

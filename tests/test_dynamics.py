@@ -70,41 +70,97 @@ class TestGainSet:
             GainSet(np.eye(2), np.eye(1), np.array([1.0, 0.0]))
 
 
+def active_point(g):
+    return make_point(np.zeros(1), np.zeros(1), g=g)
+
+
 class TestPrioritySchedule:
     def test_single_group(self):
         pts = PtsState.covering(4)
-        assert pts.groups == ((0, 1, 2, 3),)
-        assert pts.enabled_indices() == [0, 1, 2, 3]
-        assert PtsState.covering(0).groups == ((),)
+        assert pts.count == 1 and pts.enabled == 1
+        assert classify(active_point([0.5] * 4), pts).activated == (0, 1, 2, 3)
+        empty = PtsState.covering(0)
+        assert empty.count == 1 and empty.group.size == 0
+        assert pts_update(empty, active_point([])) is empty
 
     def test_covering_adds_unlisted_rows_as_last_group(self):
         pts = PtsState.covering(5, [(2, 0), ()])
-        assert pts.groups == ((0, 2), (), (1, 3, 4))
-        assert PtsState.covering(3, [(1,), (0, 2)]).groups == ((1,), (0, 2))
+        assert pts.group.tolist() == [0, 2, 0, 2, 2] and pts.count == 3
+        violated = active_point([0.5] * 5)
+        assert classify(violated, pts).activated == (0, 2)
+        # group 0 satisfied: the empty group joins with it, then the rest
+        rest = pts_update(pts, active_point([-1.0, 0.5, -1.0, 0.5, 0.5]))
+        assert rest.enabled == 3
+        assert classify(violated, rest).activated == (0, 1, 2, 3, 4)
+        listed = PtsState.covering(3, [(1,), (0, 2)])
+        assert listed.group.tolist() == [1, 0, 1] and listed.count == 2
+        assert classify(active_point([0.5] * 3), listed).activated == (1,)
 
     def test_covering_rejects_a_row_that_is_not_a_row_number(self):
         with pytest.raises(InvalidInputError, match="row 1.5 outside"):
             PtsState.covering(5, [(1.5,)])
 
+    @pytest.mark.parametrize("groups", [[0, 1], [(0,), 1], [[[0]]], [(1.5, "a")]])
+    def test_covering_rejects_a_group_that_is_not_a_sequence_of_rows(self, groups):
+        with pytest.raises(InvalidInputError, match="sequences of rows"):
+            PtsState.covering(5, groups)
+
     def test_rejects_overlap(self):
-        with pytest.raises(InvalidInputError):
-            PtsState(groups=((0, 1), (1, 2)))
+        for groups in ([(0, 1), (1, 2)], [(0, 0)], [(2,), (2.0,)]):
+            with pytest.raises(InvalidInputError, match="disjoint"):
+                PtsState.covering(3, groups)
 
     def test_monotone_advance(self):
-        pts = PtsState(groups=((0, 1), (2,), (3,)))
-        assert pts.enabled_indices() == [0, 1]
-        behind = make_point(np.zeros(1), np.zeros(1), g=[0.5, -1.0, -1.0, -1.0])
+        pts = PtsState.covering(4, [(0, 1), (2,), (3,)])
+        assert classify(active_point([0.5] * 4), pts).activated == (0, 1)
+        behind = active_point([0.5, -1.0, -1.0, -1.0])
         assert pts_update(pts, behind) is pts
-        ready = make_point(np.zeros(1), np.zeros(1), g=[-0.1, -0.1, 0.4, -1.0])
+        ready = active_point([-0.1, -0.1, 0.4, -1.0])
         advanced = pts_update(pts, ready)
         assert advanced.enabled == 2
         # never retreats even if an earlier group re-violates
         assert pts_update(advanced, behind).enabled == 2
+        assert pts_update(advanced, behind) is advanced
 
     def test_multi_advance_when_all_satisfied(self):
-        pts = PtsState(groups=((0,), (1,), (2,)))
-        ok = make_point(np.zeros(1), np.zeros(1), g=[-1.0, -1.0, -1.0])
-        assert pts_update(pts, ok).enabled == 3
+        pts = PtsState.covering(3, [(0,), (1,), (2,)])
+        ok = active_point([-1.0, -1.0, -1.0])
+        assert pts_update(pts, ok).enabled == 3 == pts.count
+
+
+def reference_schedule(r, groups, enabled, g, warm):
+    """Plain-set model of the schedule: the next enablement count and the
+    working-set candidate at that count."""
+    sets = [set(grp) for grp in groups]
+    rest = set(range(r)).difference(*sets)
+    sets += [rest] if rest or not groups else []
+    while enabled < len(sets) and not any(g[i] > 1e-6 for grp in sets[:enabled] for i in grp):
+        enabled += 1
+    activated = {i for grp in sets[:enabled] for i in grp if g[i] >= -1e-8}
+    return enabled, tuple(sorted(activated)), tuple(sorted(activated & set(warm)))
+
+
+def test_schedule_and_classify_match_a_set_reference():
+    rng = np.random.default_rng(20181121)
+    edge = [-2e-8, -1e-8, 0.0, 1e-6, 2e-6, math.nan]
+    for _ in range(400):
+        r = int(rng.integers(0, 9))
+        label = rng.integers(-1, int(rng.integers(1, 5)), size=r)   # -1: in no group
+        groups = [list(rng.permutation(np.flatnonzero(label == k)))
+                  for k in range(label.max(initial=-1) + 1 + int(rng.integers(0, 2)))]
+        pts = PtsState.covering(r, groups)
+        enabled = 1
+        for _ in range(3):
+            g = np.where(rng.random(r) < 0.3, rng.choice(edge, size=r), rng.normal(0, 1e-6, r))
+            warm = tuple(np.flatnonzero(rng.random(r) < 0.5).tolist())
+            enabled, activated, working = reference_schedule(r, groups, enabled, g, warm)
+            new = pts_update(pts, active_point(g))
+            assert new.enabled == enabled
+            assert (new is pts) == (new.enabled == pts.enabled)
+            ws = classify(active_point(g), new, warm)
+            assert (ws.activated, ws.working) == (activated, working)
+            assert all(type(i) is int for i in ws.activated + ws.working)
+            pts = new
 
 
 class TestClassify:
@@ -120,7 +176,7 @@ class TestClassify:
 
     def test_priority_filtering_and_warm_start(self):
         point = make_point(np.zeros(1), np.zeros(1), g=[0.2, 0.3, 0.4])
-        pts = PtsState(groups=((0, 1), (2,)))
+        pts = PtsState.covering(3, [(0, 1), (2,)])
         ws = classify(point, pts, warm=(1, 2))
         assert ws.activated == (0, 1)
         assert ws.working == (1,)    # warm index 2 is not enabled yet

@@ -510,6 +510,22 @@ class TestPriorityGroups:
         with pytest.raises(InvalidInputError, match="outside"):
             self.solve([2.0, 0.5, 0.5], groups)
 
+    @pytest.mark.parametrize("theta0, groups", [
+        ([2.0, 0.5, 0.5], np.array([0, 1])),
+        ([2.0, 0.5, 0.5], [0, 1]),
+        ("abc", None),
+        ([[1.0, 2.0], [3.0]], None),
+    ])
+    def test_malformed_input_is_invalid_input(self, theta0, groups):
+        with pytest.raises(InvalidInputError):
+            solve(builtin("example1"), theta0, GainSet.uniform(3, 2, 5), pts_groups=groups)
+
+    def test_groups_as_an_array(self):
+        as_list = self.solve([2.0, 0.5, 0.5], [[0, 1, 2]])
+        as_array = self.solve([2.0, 0.5, 0.5], np.array([[0, 1, 2]]))
+        assert as_array.verdict == as_list.verdict == "converged"
+        assert np.array_equal(as_array.final.theta, as_list.final.theta)
+
     def test_rows_in_no_group_are_enforced(self):
         # rows 3 and 4 join as a last group; unenforced, the flow leaves them
         # violated at [1, 1, 1]
