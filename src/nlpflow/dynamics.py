@@ -13,6 +13,7 @@ set warm start, priority schedule progress) is threaded explicitly.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import (CyclingError, InfeasibleSubproblemError, InvalidInputError,
                      NumericFailureError)
-from .linalg import pinv_gram, rank_cutoff
+from .linalg import pinv_gram, rank_cutoff, times_gain
 
 _EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 # a working multiplier below -_SIGN_TOL leaves the working set; an activated
@@ -41,7 +42,10 @@ class GainSet:
 
     ``k_theta`` (n x n) scales the descent direction, ``k_h`` (s x s) the
     equality-violation decay, ``k_g`` (length r, strictly positive) the
-    per-inequality violation decay rates.
+    per-inequality violation decay rates.  The flow applies ``_k_theta`` and
+    ``_k_h``: k_theta's and k_h's diagonals when they have no off-diagonal
+    nonzero, so that products become broadcasts (``times_gain``), else the
+    matrices.
     """
 
     k_theta: np.ndarray
@@ -67,12 +71,22 @@ class GainSet:
                 raise InvalidInputError(f"{name} must be positive-definite")
         if self.k_g.size and self.k_g.min() <= 0.0:
             raise InvalidInputError("k_g entries must be strictly positive")
+        for name in ("k_theta", "k_h"):
+            k = getattr(self, name)
+            d = np.diag(k) if k.size else np.zeros(0)
+            object.__setattr__(self, "_" + name,
+                               d if np.count_nonzero(k) == np.count_nonzero(d) else k)
 
     @classmethod
     def uniform(cls, n, s, r, k_theta=0.1, k_h=0.1, k_g=0.1):
         """Scalar shorthands expanded to scaled identities / constant vectors."""
         return cls(np.diag(np.full(n, float(k_theta))), np.diag(np.full(s, float(k_h))),
                    np.full(r, float(k_g)))
+
+
+def _gain_times(k, a):
+    """k @ a, a vector or matrix, for a gain held as in ``times_gain``."""
+    return k @ a if k.ndim == 2 else (k[:, None] if a.ndim == 2 else k) * a
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +108,8 @@ class PtsState:
     def covering(cls, r, groups=()):
         """``groups`` of the rows 0..r-1 in priority order, then the rows in
         none; a row outside [0, r), a row in two groups or a group that is
-        not a sequence of rows is an InvalidInputError."""
+        not a sequence of integer rows (a bool or a float is not one) is an
+        InvalidInputError."""
         try:
             groups = [list(g) for g in groups]
             bad = sorted(set().union(*groups).difference(range(r)))
@@ -105,6 +120,8 @@ class PtsState:
         rows = [i for g in groups for i in g]
         if len(set(rows)) != len(rows):
             raise InvalidInputError("priority groups must be disjoint")
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in rows):
+            raise InvalidInputError(f"priority groups must be sequences of rows, got {rows}")
         group = np.full(r, len(groups))
         for k, g in enumerate(groups):
             group[np.array(g, dtype=int)] = k
@@ -179,18 +196,17 @@ def rhs_general(point, gains, ws):
     working = list(ws.working)
     hbar = np.vstack([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
+    kt = gains._k_theta
     if m == 0:
         pi = np.zeros(0)
-        dtheta = -gains.k_theta @ point.f_grad
+        dtheta = -_gain_times(kt, point.f_grad)
         rank = 0
     else:
-        hk = hbar @ gains.k_theta
-        gram = hk @ hbar.T
-        targets = np.concatenate([gains.k_h @ point.h if s else np.zeros(0),
+        targets = np.concatenate([_gain_times(gains._k_h, point.h),
                                   gains.k_g[working] * point.g[working]])
-        sol, rank = pinv_gram(gram, hk @ point.f_grad - targets)
+        sol, rank = pinv_gram(hbar, kt, times_gain(hbar, kt) @ point.f_grad - targets)
         pi = -sol
-        dtheta = -gains.k_theta @ (point.f_grad + hbar.T @ pi)
+        dtheta = -_gain_times(kt, point.f_grad + hbar.T @ pi)
     if not np.all(np.isfinite(dtheta)) or not np.all(np.isfinite(pi)):
         raise NumericFailureError("flow right-hand side produced non-finite values")
     if pi.size and np.linalg.norm(pi) > _MULTIPLIER_BOUND:
@@ -218,17 +234,17 @@ def flow_jacobian(point, gains, res, curvature):
     with a matrix right-hand side; -K W when no row is working.
     """
     w, g_v, h_v = curvature(point, res.pi_e, res.pi_i, res.dtheta)
-    kw = gains.k_theta @ w
+    kt = gains._k_theta
+    kw = _gain_times(kt, w)
     working = list(res.working_set.working)
     hbar = np.vstack([point.h_jac, point.g_jac[working]])
     if hbar.shape[0] == 0:
         return -kw
-    hk = hbar @ gains.k_theta
-    t_hbar = np.vstack([gains.k_h @ point.h_jac,
+    t_hbar = np.vstack([_gain_times(gains._k_h, point.h_jac),
                         gains.k_g[working, None] * point.g_jac[working]])
     m_rows = np.vstack([h_v, g_v[working]])
-    sol, _ = pinv_gram(hk @ hbar.T, hbar @ kw - t_hbar - m_rows)
-    return hk.T @ sol - kw
+    sol, _ = pinv_gram(hbar, kt, hbar @ kw - t_hbar - m_rows)
+    return times_gain(hbar, kt).T @ sol - kw
 
 
 def resolve_working_set(point, gains, candidate):

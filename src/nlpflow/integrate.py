@@ -333,14 +333,18 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
     else the integration resumes from the last snapshot.
 
-    Raises InvalidInputError when theta0 is not numeric, the gain shapes do
-    not fit the problem, or the priority groups are not disjoint sequences of
-    rows in [0, r).
+    Raises InvalidInputError when theta0 is not a finite vector of n numbers,
+    the gain shapes do not fit the problem, or the priority groups are not
+    disjoint sequences of rows in [0, r).
     """
     try:
         theta0 = np.asarray(theta0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"theta0 is not a vector of numbers: {exc}") from None
+    if theta0.shape != (problem.n,) or not np.all(np.isfinite(theta0)):
+        raise InvalidInputError(
+            f"theta0 must be a finite vector of {problem.n} numbers, "
+            f"got {np.array2string(theta0, threshold=8)}")
     _check_gains(gains, problem)
     config = IntegratorConfig() if integrator is None else integrator
     pts = dynamics.PtsState.covering(problem.r, () if pts_groups is None else pts_groups)

@@ -1,16 +1,22 @@
-"""Dense real linear algebra: minimum-norm Gram solves.
+"""Dense and banded real linear algebra: minimum-norm Gram solves.
 
-All routines validate finiteness on entry and are pure functions of their
-inputs, so they are safe to call concurrently.  Matrices are plain 2-D numpy
+All routines reject non-finite input with InvalidInputError and are pure
+functions of their inputs, so they are safe to call concurrently.  Matrices are plain 2-D numpy
 arrays of float64; vectors are 1-D arrays.
 
 One rank convention (``rank_cutoff``) holds for ``pinv_gram`` and the
-verdict LP.  ``pinv_gram`` applies it to the eigenvalues of an m-row Gram
-matrix G = A K A^T: those <= m * eps * lambda_max count as zero, i.e.
-singular values of A below sqrt(m * eps) * sigma_max.  Grams of m >= 4 rows
-first try a Cholesky solve, taken only when certified above that cutoff;
-smaller ones go straight to ``eigh``, where Cholesky saves nothing, and
-leave scipy unloaded.
+verdict LP.  ``pinv_gram`` solves with an m-row Gram G = H K H^T on one of
+three branches, all under that convention: eigenvalues of G at or below
+m * eps * lambda_max count as zero, i.e. singular values of H K^(1/2) below
+sqrt(m * eps) * sigma_max.
+- Banded LU (``dgbtrf``): from ``_BAND_MIN_ROWS`` rows up, when K is
+  diagonal and G, with H's rows ordered by first nonzero column, is banded.
+- Cholesky (``dpotrf``): from ``_CHOLESKY_MIN_ROWS`` rows up.
+- ``eigh``: forms G+ and sets the rank.
+The first two solve only when a 1-norm condition estimate certifies that
+every eigenvalue would be kept, so they return rank m; anything else falls
+through to the next.  Grams under ``_CHOLESKY_MIN_ROWS`` rows go straight to
+``eigh``, where Cholesky saves nothing, and leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 
 _CHOLESKY_MIN_ROWS = 4   # Grams with fewer rows skip the Cholesky attempt
+_BAND_MIN_ROWS = 48      # under this many rows the dense solve is the faster
 
 
 def as_matrix(m, name="matrix"):
@@ -42,14 +49,77 @@ def rank_cutoff(shape, sigma_max):
     return max(shape) * sigma_max * np.finfo(float).eps
 
 
-def pinv_gram(g, rhs):
-    """``(G+ @ rhs, rank)`` for a symmetric PSD Gram matrix G.
+def _certified(rcond, m):
+    """True when a reciprocal 1-norm condition estimate beats the cutoff
+    ratio m * eps by a factor 1e3 * m, which covers the 1-norm/2-norm gap and
+    the estimator's slack, so every eigenvalue of the Gram would be kept."""
+    return rcond > 1e3 * m * rank_cutoff((m, m), 1.0)
+
+
+def times_gain(a, k):
+    """a @ k for a gain k held as a matrix or, when diagonal, as its
+    diagonal; for finite a the broadcast product equals a @ diag(k) bitwise."""
+    return a * k if k.ndim == 1 else a @ k
+
+
+def pinv_gram(rows, gain, rhs):
+    """``((H K H^T)+ @ rhs, rank)`` for stacked rows H (m x n) and a
+    positive-definite gain K, an n x n matrix or, when diagonal, its diagonal.
+
+    Tries the banded solve first (see the module docstring), then forms G
+    and solves it with ``pinv_psd``.
+    """
+    m = rows.shape[0]
+    if m >= _BAND_MIN_ROWS and gain.ndim == 1:
+        sol = _banded_solve(rows, gain, rhs)
+        if sol is not None:
+            return sol, m
+    return pinv_psd(times_gain(rows, gain) @ rows.T, rhs)
+
+
+def _banded_solve(rows, d, rhs):
+    """(H diag(d) H^T)^-1 rhs by a banded LU, or None.
+
+    The rows are ordered by first nonzero column (Cuthill & McKee 1969), so
+    the rows after row i that share a column with it are those that start at
+    or before its last nonzero column, and ``searchsorted`` gives the
+    half-bandwidth.  None when the band is not narrower than a quarter of the
+    rows (a zero row, read as spanning every column, makes it so) or when
+    dgbcon's estimate does not certify the LU.
+    """
+    m = rows.shape[0]
+    nonzero = rows != 0
+    first = nonzero.argmax(axis=1)
+    order = np.argsort(first, kind="stable")
+    first = first[order]
+    last = rows.shape[1] - 1 - nonzero[order, ::-1].argmax(axis=1)
+    bw = int((np.searchsorted(first, last, side="right") - np.arange(1, m + 1)).max())
+    if 4 * bw >= m:
+        return None
+    h = rows[order]
+    # LAPACK band storage: G[i, j] at ab[2 bw + i - j, j], rows 0..bw-1 for the LU's fill
+    ab = np.zeros((3 * bw + 1, m))
+    ab[2 * bw] = np.einsum("ij,j,ij->i", h, d, h)
+    for k in range(1, bw + 1):
+        ab[2 * bw - k, k:] = ab[2 * bw + k, :-k] = np.einsum("ij,j,ij->i", h[:-k], d, h[k:])
+    from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+    lu, piv, info = dgbtrf(ab, bw, bw)
+    if info != 0:
+        return None
+    rcond, _ = dgbcon(bw, bw, lu, piv, np.abs(ab).sum(axis=0).max())
+    if not _certified(rcond, m):
+        return None
+    sol = np.empty_like(rhs)
+    sol[order] = dgbtrs(lu, bw, bw, rhs[order].reshape(m, -1), piv)[0].reshape(rhs.shape)
+    return sol
+
+
+def pinv_psd(g, rhs):
+    """``(G+ @ rhs, rank)`` for a formed symmetric PSD Gram matrix G.
 
     From ``_CHOLESKY_MIN_ROWS`` rows up, Cholesky solves when dpocon's
-    reciprocal 1-norm condition estimate beats the cutoff ratio m * eps by a
-    factor 1e3 * m (which covers the 1-norm/2-norm gap and the estimator's
-    slack), so every eigenvalue would be kept.  Otherwise ``eigh`` forms G+
-    and sets the rank.
+    reciprocal 1-norm condition estimate is certified (``_certified``).
+    Otherwise ``eigh`` forms G+ and sets the rank.
     """
     a = as_matrix(g, "gram matrix")
     a = 0.5 * (a + a.T)
@@ -59,7 +129,7 @@ def pinv_gram(g, rhs):
         chol, info = dpotrf(a)
         if info == 0:
             rcond, _ = dpocon(chol, np.abs(a).sum(axis=0).max())
-            if rcond > 1e3 * m * rank_cutoff(a.shape, 1.0):
+            if _certified(rcond, m):
                 return dpotrs(chol, rhs)[0], m
     try:
         w, q = np.linalg.eigh(a)

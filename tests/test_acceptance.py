@@ -134,7 +134,7 @@ def test_criterion_5a_pseudo_inverse_properties():
             np.abs(p @ a - (p @ a).T).max())
         worst_factor = max(worst_factor,
                            np.abs(p - np.linalg.pinv(a)).max(),
-                           np.abs(p - pinv_gram(a.T @ a, a.T)[0]).max())
+                           np.abs(p - pinv_gram(a.T, np.ones(m), a.T)[0]).max())
         for proj in (a @ p, p @ a):
             worst_proj = max(worst_proj,
                              np.abs(proj @ proj - proj).max(),

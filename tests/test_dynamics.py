@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from nlpflow import GainSet, builtin
+from nlpflow import GainSet, builtin, parse_problem
 from nlpflow.dynamics import (
     MultiplierBoundWarning,
     PtsState,
@@ -19,6 +19,7 @@ from nlpflow.dynamics import (
 )
 from nlpflow.errors import InvalidInputError, NumericFailureError
 from nlpflow.integrate import fd_jacobian
+from nlpflow.linalg import pinv_psd
 from nlpflow.problems import EvalPoint, curvature_at, evaluate
 
 OPT1 = np.array([2.0, 0.5, 0.5])
@@ -100,7 +101,8 @@ class TestPrioritySchedule:
         with pytest.raises(InvalidInputError, match="row 1.5 outside"):
             PtsState.covering(5, [(1.5,)])
 
-    @pytest.mark.parametrize("groups", [[0, 1], [(0,), 1], [[[0]]], [(1.5, "a")]])
+    @pytest.mark.parametrize("groups", [[0, 1], [(0,), 1], [[[0]]], [(1.5, "a")],
+                                        [[True], [2.0]], [[2.0]], [(0,), (np.True_,)]])
     def test_covering_rejects_a_group_that_is_not_a_sequence_of_rows(self, groups):
         with pytest.raises(InvalidInputError, match="sequences of rows"):
             PtsState.covering(5, groups)
@@ -245,6 +247,58 @@ class TestRhsClosedForms:
             proj = np.linalg.pinv(m) @ m
             expected = -root @ (np.eye(n) - proj) @ root @ point.f_grad
             assert np.allclose(res.dtheta, expected, atol=1e-8)
+
+    def test_non_diagonal_gain_takes_the_dense_route(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        def no_band(*args, **kwargs):
+            raise AssertionError("a non-diagonal gain must not take the banded branch")
+
+        monkeypatch.setattr(lapack, "dgbtrf", no_band)
+        n = 100
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(0.7, 1.2, n)
+        theta[0] = 2.0
+        point = evaluate(builtin("example2", size=n), theta)
+        off = 0.02 * np.ones(n - 1)
+        k_theta = 0.1 * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
+        gains = GainSet(k_theta, np.eye(n - 1), np.ones(2 * n))
+        working = (4,)
+        res = rhs_general(point, gains, WorkingSet(working, working))
+        hbar = np.vstack([point.h_jac, point.g_jac[list(working)]])
+        gram = hbar @ k_theta @ hbar.T
+        b = (hbar @ k_theta @ point.f_grad
+             - np.concatenate([point.h, point.g[list(working)]]))
+        pi = -np.linalg.solve(gram, b)
+        assert res.stacked_jacobian_rank == n
+        assert np.abs(np.concatenate([res.pi_e, res.pi_i[list(working)]]) - pi).max() \
+            <= 1e-9 * np.abs(pi).max()
+
+    def test_diagonal_gains_equal_the_dense_products_bitwise(self):
+        """On example1 the broadcasts replace K @ x, H @ K and K_h @ x without
+        changing a bit of the flow or its Jacobian."""
+        p = builtin("example1")
+        gains = GainSet(np.diag([0.1, 0.3, 0.2]), np.diag([0.4, 0.7]),
+                        np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        k, k_h = gains.k_theta, gains.k_h
+        for theta, working in (([1.7, 0.8, 0.6], (3, 4)), ([-4.8578, 3.8180, -2.7364], ()),
+                               (OPT1, (3,)), ([2.5, 0.1, 0.9], (0, 2))):
+            point = evaluate(p, np.array(theta))
+            res = rhs_general(point, gains, WorkingSet(working, working))
+            w = list(working)
+            hbar = np.vstack([point.h_jac, point.g_jac[w]])
+            hk = hbar @ k
+            sol, rank = pinv_psd(hk @ hbar.T, hk @ point.f_grad - np.concatenate(
+                [k_h @ point.h, gains.k_g[w] * point.g[w]]))
+            assert np.array_equal(res.dtheta, -k @ (point.f_grad - hbar.T @ sol))
+            assert np.array_equal(np.concatenate([res.pi_e, res.pi_i[w]]), -sol)
+            assert res.stacked_jacobian_rank == rank
+            curv, g_v, h_v = curvature_at(p, point, res.pi_e, res.pi_i, res.dtheta)
+            kw = k @ curv
+            t_hbar = np.vstack([k_h @ point.h_jac, gains.k_g[w, None] * point.g_jac[w]])
+            sol = pinv_psd(hk @ hbar.T, hbar @ kw - t_hbar - np.vstack([h_v, g_v[w]]))[0]
+            jac = flow_jacobian(point, gains, res, lambda *args: curvature_at(p, *args))
+            assert np.array_equal(jac, hk.T @ sol - kw)
 
     def test_non_finite_flow_is_a_numeric_failure(self):
         # valid finite input whose direction overflows
@@ -456,6 +510,32 @@ class TestFlowJacobian:
         # the equality rows and one quadratic band row span R^n
         self.check(builtin("example2", size=n), rng.uniform(0.7, 1.2, n), gains,
                    working=(4,), rank=n)
+
+    def test_banded_gram(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+        calls = [0]
+        dgbtrf = lapack.dgbtrf
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgbtrf", counted)
+        n = 100
+        rng = np.random.default_rng(6)
+        gains = GainSet(np.diag(rng.uniform(0.05, 0.2, n)), np.diag(rng.uniform(0.5, 2.0, n - 1)),
+                        rng.uniform(0.5, 2.0, 2 * n))
+        theta = rng.uniform(0.7, 1.2, n)
+        # the band row, appended after the equalities, makes the Gram arrow-shaped
+        self.check(builtin("example2", size=n), theta, gains, working=(6,), rank=n)
+        assert calls[0] >= 2
+
+    def test_empty_equality_gain_of_either_shape(self):
+        # GainSet accepts any empty k_h when there is no equality
+        p = parse_problem("var 2\nmin x1^2 + x2^2\nineq 1 - x1\n")
+        for k_h in (np.zeros(0), np.zeros((0, 0))):
+            self.check(p, np.array([0.5, 3.0]), GainSet(np.eye(2), k_h, np.ones(1)),
+                       working=(0,), rank=1)
 
     def test_no_rows(self):
         p = builtin("unconstrained-quadratic", size=3)

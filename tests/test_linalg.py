@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlpflow import builtin
+from nlpflow import builtin, linalg
 from nlpflow.errors import InvalidInputError
-from nlpflow.linalg import pinv_gram, rank_cutoff
+from nlpflow.linalg import pinv_gram, pinv_psd, rank_cutoff
 from nlpflow.problems import evaluate
 
 EPS = np.finfo(float).eps
@@ -14,7 +16,7 @@ EPS = np.finfo(float).eps
 def gram_pinv(a):
     """The pseudo-inverse the solver forms: A+ = A^T (A A^T)+, via pinv_gram."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    return a.T @ pinv_gram(a @ a.T, np.eye(a.shape[0]))[0]
+    return a.T @ pinv_gram(a, np.ones(a.shape[1]), np.eye(a.shape[0]))[0]
 
 
 def svd_pinv(a):
@@ -65,7 +67,7 @@ class TestPinv:
 
     def test_zero_square(self):
         for m in (2, 5):
-            x, rank = pinv_gram(np.zeros((m, m)), np.ones(m))
+            x, rank = pinv_psd(np.zeros((m, m)), np.ones(m))
             assert rank == 0
             assert np.array_equal(x, np.zeros(m))
 
@@ -74,7 +76,7 @@ class TestPinv:
             gram = np.eye(m)
             gram[0, 1] = np.nan
             with pytest.raises(InvalidInputError):
-                pinv_gram(gram, np.ones(m))
+                pinv_psd(gram, np.ones(m))
 
     def test_inverse_when_square_nonsingular(self):
         rng = np.random.default_rng(2)
@@ -99,7 +101,7 @@ class TestPinv:
         for a in random_matrices(50, max_dim=12, seed=4):
             p = svd_pinv(a)
             left = gram_pinv(a)
-            right = pinv_gram(a.T @ a, a.T)[0]
+            right = pinv_gram(a.T, np.ones(a.shape[0]), a.T)[0]
             assert np.abs(p - left).max() <= 1e-8
             assert np.abs(p - right).max() <= 1e-8
 
@@ -122,7 +124,7 @@ class TestPinv:
             m, k = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             a = rng.standard_normal((m, k))
             gram = a @ a.T
-            via_gram, rank = pinv_gram(gram, np.eye(m))
+            via_gram, rank = pinv_gram(a, np.ones(k), np.eye(m))
             assert np.abs(via_gram - svd_pinv(gram)).max() <= 1e-8
             assert rank == np.linalg.matrix_rank(gram)
 
@@ -143,7 +145,7 @@ class TestPinv:
         cutoff = rank_cutoff(gram.shape, w[-1])
         # eigenvalue solvers disagree by a few eps * lambda_max; keep clear of the cutoff
         assume(not np.any((w > cutoff / 8) & (w < 8 * cutoff)))
-        sol, rank = pinv_gram(gram, rhs)
+        sol, rank = pinv_psd(gram, rhs)
         assert rank == int(np.sum(w > cutoff))
         ref = svd_pinv(gram) @ rhs
         kept = w[w > cutoff]
@@ -159,7 +161,7 @@ class TestPinv:
         point = evaluate(chain, theta)
         gram = 0.1 * point.h_jac @ point.h_jac.T
         rhs = 0.1 * point.h_jac @ point.f_grad
-        sol, rank = pinv_gram(gram, rhs)
+        sol, rank = pinv_psd(gram, rhs)
         assert eigh_calls[0] == 0
         assert rank == n - 1
         assert np.linalg.norm(gram @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -167,7 +169,7 @@ class TestPinv:
         product = builtin("example1")
         point = evaluate(product, np.array([-4.8578, 3.8180, -2.7364]))
         gram = 0.1 * point.h_jac @ point.h_jac.T
-        sol, rank = pinv_gram(gram, np.array([1.0, 2.0]))
+        sol, rank = pinv_psd(gram, np.array([1.0, 2.0]))
         assert eigh_calls[0] == 1
         assert rank == 1
         assert np.allclose(sol, svd_pinv(gram) @ [1.0, 2.0], rtol=1e-12)
@@ -180,7 +182,7 @@ class TestPinv:
             eigh_calls[0] = 0
             a = rng.standard_normal((m, m + 2))
             gram, rhs = a @ a.T, rng.standard_normal(m)
-            sol, rank = pinv_gram(gram, rhs)
+            sol, rank = pinv_psd(gram, rhs)
             assert (rank, eigh_calls[0]) == (m, expected)
             ref = np.linalg.pinv(gram) @ rhs
             assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -191,7 +193,7 @@ class TestPinv:
         a = rng.standard_normal((6, 8))
         rhs = rng.standard_normal((6, 5))
         for gram, rank, expected in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
-            sol, got = pinv_gram(gram, rhs)
+            sol, got = pinv_psd(gram, rhs)
             assert (got, eigh_calls[0]) == (rank, expected)
             ref = svd_pinv(gram) @ rhs
             assert sol.shape == ref.shape
@@ -234,3 +236,117 @@ class TestProjectors:
                 assert np.abs(p @ p - p).max() <= 1e-8
                 assert np.abs(p - p.T).max() <= 1e-8
 
+
+
+@pytest.fixture
+def dgbtrf_calls(monkeypatch):
+    """Counts the calls of LAPACK's banded LU, pinv_gram's banded branch."""
+    import scipy.linalg.lapack as lapack
+    calls = [0]
+    dgbtrf = lapack.dgbtrf
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", counted)
+    return calls
+
+
+def narrow_rows(rng, starts, n):
+    """Rows of width 1 to 3 starting at ``starts``, leading entry of magnitude
+    at least 1: distinct starts give full row rank (echelon form)."""
+    rows = np.zeros((len(starts), n))
+    for i, s in enumerate(starts):
+        width = min(int(rng.integers(1, 4)), n - s)
+        rows[i, s:s + width] = rng.standard_normal(width)
+        rows[i, s] = rng.choice([-1.0, 1.0]) * (1.0 + abs(rows[i, s]))
+    return rows
+
+
+def gram_reference(rows, d, rhs):
+    """(H diag(d) H^T)+ @ rhs and its rank, formed and solved by eigh."""
+    gram = (rows * d) @ rows.T
+    w, q = np.linalg.eigh(gram)
+    keep = w > rank_cutoff(gram.shape, w[-1])
+    return ((q[:, keep] / w[keep]) @ q[:, keep].T) @ rhs, int(keep.sum())
+
+
+class TestBandedGram:
+    """pinv_gram's banded branch: diagonal gain, from _BAND_MIN_ROWS rows up."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_eigh_on_shuffled_narrow_rows(self, seed, dgbtrf_calls, eigh_calls):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(linalg._BAND_MIN_ROWS + 5, 140))
+        m = int(rng.integers(linalg._BAND_MIN_ROWS, n + 1))
+        rows = narrow_rows(rng, np.sort(rng.choice(n, size=m, replace=False)), n)
+        # some rows moved to the end make the Gram arrow-shaped, as the
+        # working band rows appended after the equalities do; or any order
+        moved = rng.choice(m, size=m // 8, replace=False)
+        order = (np.concatenate([np.delete(np.arange(m), moved), moved]) if seed % 2
+                 else rng.permutation(m))
+        rows = rows[order]
+        d = rng.uniform(0.05, 3.0, n)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 7))):
+            before = dgbtrf_calls[0]
+            sol, rank = pinv_gram(rows, d, rhs)
+            ref, ref_rank = gram_reference(rows, d, rhs)
+            assert (rank, ref_rank, dgbtrf_calls[0] - before) == (m, m, 1)
+            assert sol.shape == rhs.shape
+            assert np.abs(sol - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert eigh_calls[0] == 2   # the references only
+
+    @pytest.mark.parametrize("case", ["zero row", "duplicated row", "more rows than columns"])
+    def test_rank_deficient_rows_go_to_eigh(self, case, eigh_calls):
+        rng = np.random.default_rng(11)
+        m = n = linalg._BAND_MIN_ROWS + 8
+        rows = narrow_rows(rng, np.arange(m), n)
+        if case == "zero row":
+            rows[m // 2] = 0.0
+        elif case == "duplicated row":
+            rows = np.insert(rows, m // 3, -2.5 * rows[m - 5], axis=0)
+        else:
+            rows = np.vstack([rows, narrow_rows(rng, rng.choice(n, size=6), n)])[
+                rng.permutation(m + 6)]
+        d = rng.uniform(0.05, 3.0, n)
+        gram = (rows * d) @ rows.T
+        for rhs in (gram @ rng.standard_normal(rows.shape[0]),
+                    gram @ rng.standard_normal((rows.shape[0], 3))):
+            eigh_calls[0] = 0
+            sol, rank = pinv_gram(rows, d, rhs)
+            assert eigh_calls[0] == 1
+            ref, ref_rank = gram_reference(rows, d, rhs)
+            assert rank == ref_rank == min(rows.shape) - (case == "zero row")
+            assert np.abs(sol - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_gram_is_invalid_input(self, bad):
+        rng = np.random.default_rng(13)
+        n = linalg._BAND_MIN_ROWS + 4
+        rows = narrow_rows(rng, np.arange(n - 2), n)
+        rows[5, 5] = bad
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInputError, match="non-finite"):
+            pinv_gram(rows, np.ones(n), np.ones(n - 2))
+
+    def test_threshold(self, dgbtrf_calls):
+        """Under _BAND_MIN_ROWS rows, with a gain that is not diagonal, or with
+        a band not narrower than a quarter of the rows, the Gram is formed and
+        solved densely; from _BAND_MIN_ROWS narrow rows the band solves it."""
+        rng = np.random.default_rng(12)
+        n = linalg._BAND_MIN_ROWS + 4
+        d = rng.uniform(0.5, 2.0, n)
+        for m, gain, wide, expected in ((linalg._BAND_MIN_ROWS - 1, d, False, 0),
+                                        (linalg._BAND_MIN_ROWS, np.diag(d), False, 0),
+                                        (linalg._BAND_MIN_ROWS, d, True, 0),
+                                        (linalg._BAND_MIN_ROWS, d, False, 1)):
+            dgbtrf_calls[0] = 0
+            rows = narrow_rows(rng, np.sort(rng.choice(n, size=m, replace=False)), n)
+            if wide:   # a first row reaching the last column spans the whole band
+                rows[0, -1] = 1.0
+            rhs = rng.standard_normal(m)
+            sol, rank = pinv_gram(rows, gain, rhs)
+            assert (rank, dgbtrf_calls[0]) == (m, expected)
+            gram = rows @ np.diag(d) @ rows.T
+            assert np.linalg.norm(gram @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
