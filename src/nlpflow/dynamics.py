@@ -57,7 +57,7 @@ class GainSet:
         object.__setattr__(self, "k_h", np.asarray(self.k_h, dtype=float))
         object.__setattr__(self, "k_g", np.atleast_1d(np.asarray(self.k_g, dtype=float)))
         for name in ("k_theta", "k_h", "k_g"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise InvalidInputError(f"{name} must be finite")
         for name in ("k_theta", "k_h"):
             m = getattr(self, name)
@@ -194,7 +194,7 @@ def rhs_general(point, gains, ws):
     """
     s = point.h.size
     working = list(ws.working)
-    hbar = np.vstack([point.h_jac, point.g_jac[working]])
+    hbar = np.concatenate([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
     kt = gains._k_theta
     if m == 0:
@@ -207,7 +207,7 @@ def rhs_general(point, gains, ws):
         sol, rank = pinv_gram(hbar, kt, times_gain(hbar, kt) @ point.f_grad - targets)
         pi = -sol
         dtheta = -_gain_times(kt, point.f_grad + hbar.T @ pi)
-    if not np.all(np.isfinite(dtheta)) or not np.all(np.isfinite(pi)):
+    if not (np.isfinite(dtheta).all() and np.isfinite(pi).all()):
         raise NumericFailureError("flow right-hand side produced non-finite values")
     if pi.size and np.linalg.norm(pi) > _MULTIPLIER_BOUND:
         warnings.warn(
@@ -237,12 +237,12 @@ def flow_jacobian(point, gains, res, curvature):
     kt = gains._k_theta
     kw = _gain_times(kt, w)
     working = list(res.working_set.working)
-    hbar = np.vstack([point.h_jac, point.g_jac[working]])
+    hbar = np.concatenate([point.h_jac, point.g_jac[working]])
     if hbar.shape[0] == 0:
         return -kw
-    t_hbar = np.vstack([_gain_times(gains._k_h, point.h_jac),
-                        gains.k_g[working, None] * point.g_jac[working]])
-    m_rows = np.vstack([h_v, g_v[working]])
+    t_hbar = np.concatenate([_gain_times(gains._k_h, point.h_jac),
+                             gains.k_g[working, None] * point.g_jac[working]])
+    m_rows = np.concatenate([h_v, g_v[working]])
     sol, _ = pinv_gram(hbar, kt, hbar @ kw - t_hbar - m_rows)
     return times_gain(hbar, kt).T @ sol - kw
 

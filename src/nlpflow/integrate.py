@@ -176,7 +176,7 @@ def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0=None):
         k.append(lu_solve(lu, stage_rhs))
     y_new = y + sum(m * ki for m, ki in zip(_ROS_M, k))
     err = sum(e * ki for e, ki in zip(_ROS_E, k) if e)
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         return y_new, math.inf
     return y_new, _error_norm(err, y, y_new, rel_tol, abs_tol)
 
@@ -282,8 +282,8 @@ class Trajectory:
     rejected attempts, ``trial_rejections`` those failed at a trial stage,
     ``endgame_steps``/``endgame_fallbacks`` endgame iterations kept and
     discarded, ``rhs_eval_count`` evaluations at distinct flow points (one
-    ``evaluate`` each), ``jacobian_count`` flow Jacobians (per stiff base
-    point and endgame iteration).
+    ``evaluate`` each), ``jacobian_count`` flow Jacobians (one per stiff
+    base point or endgame iteration's base point).
     Builtin and parsed problems have a curvature oracle; for a hand-built
     problem without one, each Jacobian also calls its derivative oracle n
     times, which ``rhs_eval_count`` does not include.
@@ -320,9 +320,12 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     ``f0``, the stepper's first stage at that point: resolving from the
     settled set at the same point and schedule returns that set at once.
     The point itself is the last one evaluated when the step's final stage
-    lies on it bitwise (Dormand-Prince), so each accepted point is
-    evaluated once.  The stiff Jacobian at a base point is
-    ``dynamics.flow_jacobian`` of the snapshot's point and settled flow.
+    lies on it bitwise (Dormand-Prince), and ``flow`` returns that stage's
+    result for the same point, schedule and warm start, so each accepted
+    point is evaluated and settled once (settled again if the schedule
+    advanced there).  The stiff Jacobian at a base point is
+    ``dynamics.flow_jacobian`` of the snapshot's point and settled flow,
+    formed once even when an endgame iteration from there falls back.
 
     Endgame (never under ``fixed_horizon``): once all priority groups are
     enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
@@ -341,7 +344,7 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
         theta0 = np.asarray(theta0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"theta0 is not a vector of numbers: {exc}") from None
-    if theta0.shape != (problem.n,) or not np.all(np.isfinite(theta0)):
+    if theta0.shape != (problem.n,) or not np.isfinite(theta0).all():
         raise InvalidInputError(
             f"theta0 must be a finite vector of {problem.n} numbers, "
             f"got {np.array2string(theta0, threshold=8)}")
@@ -352,40 +355,47 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     traj = Trajectory()
     ode = OdeResult()
     warm = ()
-    base = None   # the last snapshot's point and settled flow
+    base = jac = None   # the last snapshot's point and settled flow, and their flow Jacobian
     last = None   # the last point evaluated
+    last_flow = (None,)   # the last settlement, after the point, schedule and warm start it used
     held, settled = 0, None   # snapshots in a row with this working set and group count
 
     def evaluate_at(theta):
         nonlocal last
-        if last is None or not np.array_equal(theta, last.theta):
+        if last is None or not (theta == last.theta).all():
             traj.rhs_eval_count += 1
             last = evaluate(problem, theta)
         return last
 
     def flow(point):
-        candidate = dynamics.classify(point, pts, warm)
-        return dynamics.resolve_working_set(point, gains, candidate)
+        nonlocal last_flow
+        if not all(a is b for a, b in zip(last_flow, (point, pts, warm))):
+            res = dynamics.resolve_working_set(point, gains, dynamics.classify(point, pts, warm))
+            last_flow = (point, pts, warm, res)
+        return last_flow[-1]
 
     def rhs(theta):
-        if np.array_equal(theta, base[0].theta):
+        if (theta == base[0].theta).all():
             return base[1].dtheta
         return flow(evaluate_at(theta)).dtheta
 
     def jacobian(theta):
-        point, res = base
-        traj.jacobian_count += 1
-        return dynamics.flow_jacobian(point, gains, res, partial(curvature_at, problem))
+        nonlocal jac
+        if jac is None:
+            point, res = base
+            traj.jacobian_count += 1
+            jac = dynamics.flow_jacobian(point, gains, res, partial(curvature_at, problem))
+        return jac
 
     def snapshot(tau, point, res=None):
         """Record the accepted point; True once the verdict is final."""
-        nonlocal pts, warm, base, held, settled
+        nonlocal pts, warm, base, jac, held, settled
         pts = dynamics.pts_update(pts, point)
         res = flow(point) if res is None else res
         warm = res.working_set.working
         held = held + 1 if (warm, pts.enabled) == settled else 1
         settled = (warm, pts.enabled)
-        base = (point, res)
+        base, jac = (point, res), None
         report = monitor.kkt_report(point, res)
         traj.samples.append(FlowState(
             tau=tau, theta=point.theta, pi_e=res.pi_e, pi_i=res.pi_i,

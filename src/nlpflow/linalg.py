@@ -29,16 +29,6 @@ _CHOLESKY_MIN_ROWS = 4   # Grams with fewer rows skip the Cholesky attempt
 _BAND_MIN_ROWS = 48      # under this many rows the dense solve is the faster
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-D float array, raising InvalidInputError otherwise."""
-    a = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError(f"{name} must be 2-D with positive shape, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return a
-
-
 def rank_cutoff(shape, sigma_max):
     """Singular values at or below this threshold count as zero.
 
@@ -121,8 +111,9 @@ def pinv_psd(g, rhs):
     reciprocal 1-norm condition estimate is certified (``_certified``).
     Otherwise ``eigh`` forms G+ and sets the rank.
     """
-    a = as_matrix(g, "gram matrix")
-    a = 0.5 * (a + a.T)
+    if not np.isfinite(g).all():
+        raise InvalidInputError("gram matrix contains non-finite entries")
+    a = 0.5 * (g + g.T)
     m = a.shape[0]
     if m >= _CHOLESKY_MIN_ROWS:
         from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
@@ -135,6 +126,8 @@ def pinv_psd(g, rhs):
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    keep = w > rank_cutoff(a.shape, abs(w[-1]))
-    qk = q[:, keep]
-    return ((qk / w[keep]) @ qk.T) @ rhs, int(np.sum(keep))
+    keep = w > rank_cutoff(a.shape, abs(w[-1]) if m else 0.0)
+    rank = int(np.count_nonzero(keep))
+    if rank < m:
+        q, w = q[:, keep], w[keep]
+    return ((q / w) @ q.T) @ rhs, rank

@@ -69,23 +69,19 @@ class EvalPoint:
     h_jac: np.ndarray
 
 
-def _require_finite(value, component):
-    if not np.all(np.isfinite(value)):
-        bad = component
-        if np.ndim(value) >= 1:
-            idx = np.argwhere(~np.isfinite(np.atleast_1d(value)))
-            bad = (component, int(idx[0][0]))
-        raise EvaluationError(f"non-finite value in {bad}", component=bad)
-
-
 def _shaped(value, shape, component):
-    """``value`` as a finite float array of ``shape``, else EvaluationError."""
+    """``value`` as a finite float array of ``shape``, else EvaluationError
+    naming the component, and the first row of a non-finite entry."""
     a = np.asarray(value, dtype=float)
-    if a.size != math.prod(shape):
-        raise EvaluationError(f"{component} has {a.size} entries, expected shape {shape}",
-                              component=component)
-    a = a.reshape(shape)
-    _require_finite(a, component)
+    if a.shape != shape:
+        if a.size != math.prod(shape):
+            raise EvaluationError(f"{component} has {a.size} entries, expected shape {shape}",
+                                  component=component)
+        a = a.reshape(shape)
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = component if a.ndim == 0 else (component, int(np.argwhere(~finite)[0][0]))
+        raise EvaluationError(f"non-finite value in {bad}", component=bad)
     return a
 
 
@@ -95,7 +91,7 @@ def evaluate(problem, theta):
     if theta.shape != (problem.n,):
         raise InvalidInputError(
             f"theta must have shape ({problem.n},), got {theta.shape}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise InvalidInputError("theta contains non-finite entries")
 
     f, g, h = _values(problem, theta)

@@ -19,7 +19,7 @@ from nlpflow.errors import (EvaluationError, InvalidInputError, NlpflowError,
 from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, fd_jacobian, step_rk45,
                                step_stiff)
 from nlpflow.monitor import converged
-from nlpflow.problems import NlpProblem
+from nlpflow.problems import NlpProblem, evaluate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EX1_HARD_START = (-4.8578, 3.8180, -2.7364)
@@ -440,6 +440,54 @@ class TestSolve:
         assert traj.rhs_eval_count == (1 + 6 * error_controlled_attempts(traj)
                                        + traj.endgame_steps + traj.endgame_fallbacks)
 
+    @pytest.mark.parametrize("case", ["example1 rk45", "chain stiff"])
+    def test_each_point_is_settled_once(self, monkeypatch, case):
+        # one settlement per evaluated point: a Dormand-Prince snapshot reuses
+        # its final stage's, unless the priority schedule advanced there
+        resolves = count_calls(monkeypatch, nlpflow.dynamics, "resolve_working_set")
+        pts_update = nlpflow.dynamics.pts_update
+        advanced = []
+
+        def recorded_update(state, point):
+            new = pts_update(state, point)
+            advanced.append(new is not state)
+            return new
+
+        monkeypatch.setattr(nlpflow.dynamics, "pts_update", recorded_update)
+        if case == "example1 rk45":
+            traj = solve_example1(EX1_HARD_START)
+        else:
+            n = 10
+            traj = solve(builtin("example2", size=n), np.linspace(2.0, 0.8, n),
+                         GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0),
+                         integrator=IntegratorConfig(method="stiff", t_end=100.0))
+        assert traj.verdict == "converged"
+        # theta0's snapshot settles once, under the schedule already advanced
+        assert resolves[0] == traj.rhs_eval_count + sum(advanced[1:])
+        assert sum(advanced[1:]) == (case == "example1 rk45")
+
+    def test_advanced_schedule_settles_afresh(self):
+        # the hard start enables group (3, 4) at an accepted Dormand-Prince
+        # point, whose final stage settled it under the old schedule
+        dyn = nlpflow.dynamics
+        traj = solve_example1(EX1_HARD_START)
+        problem, gains = builtin("example1"), GainSet.uniform(3, 2, 5)
+        before = dyn.PtsState.covering(5, [(0, 1, 2), (3, 4)])
+        for k, sample in enumerate(traj.samples):
+            point = evaluate(problem, sample.theta)
+            after = dyn.pts_update(before, point)
+            if after is not before:
+                break
+            before = after
+        assert k > 0 and sample.tau > traj.samples[k - 1].tau
+        assert after.enabled == after.count
+        warm = traj.samples[k - 1].working
+        fresh, stale = (dyn.resolve_working_set(point, gains, dyn.classify(point, pts, warm))
+                        for pts in (after, before))
+        assert sample.working == fresh.working_set.working != stale.working_set.working
+        assert sample.pi_e.tobytes() == fresh.pi_e.tobytes()
+        assert sample.pi_i.tobytes() == fresh.pi_i.tobytes()
+
     def test_trial_stage_error_is_a_rejection(self, monkeypatch):
         attempts = [0]
         calls = [0]
@@ -575,14 +623,20 @@ class TestStiffJacobian:
     def test_one_flow_jacobian_per_base_point(self, monkeypatch):
         fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
         exact = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
-        bases = set()
+        bases, jacobian_points = set(), []
         step = nlpflow.integrate.step_stiff
+        flow_jacobian = nlpflow.dynamics.flow_jacobian
 
         def recorded_step(rhs, y, *args, **kwargs):
             bases.add(y.tobytes())
             return step(rhs, y, *args, **kwargs)
 
+        def recorded_jacobian(point, *args):
+            jacobian_points.append(point.theta.tobytes())
+            return flow_jacobian(point, *args)
+
         monkeypatch.setattr(nlpflow.integrate, "step_stiff", recorded_step)
+        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", recorded_jacobian)
         n = 10
         p = builtin("example2", size=n)
         gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
@@ -590,9 +644,13 @@ class TestStiffJacobian:
                      integrator=IntegratorConfig(method="stiff", t_end=100.0))
         assert traj.verdict == "converged"
         assert fd[0] == 0
-        assert traj.endgame_steps > 0
-        assert exact[0] == traj.jacobian_count == (len(bases) + traj.endgame_steps
-                                                   + traj.endgame_fallbacks)
+        assert traj.endgame_steps > 0 and traj.endgame_fallbacks > 0
+        # one Jacobian per stepper base and per endgame iteration, except that
+        # an iteration that falls back shares its base, and so its Jacobian,
+        # with the integration that resumes from there
+        assert exact[0] == traj.jacobian_count == len(bases) + traj.endgame_steps
+        assert len(set(jacobian_points)) == len(jacobian_points) == exact[0]
+        assert bases <= set(jacobian_points)
         rk45 = solve(p, np.linspace(2.0, 0.8, n), gains,
                      integrator=IntegratorConfig(t_end=1.0, fixed_horizon=True))
         assert rk45.jacobian_count == 0

@@ -66,7 +66,7 @@ class TestPinv:
         assert np.array_equal(gram_pinv(np.zeros((3, 5))), np.zeros((5, 3)))
 
     def test_zero_square(self):
-        for m in (2, 5):
+        for m in (0, 2, 5):
             x, rank = pinv_psd(np.zeros((m, m)), np.ones(m))
             assert rank == 0
             assert np.array_equal(x, np.zeros(m))
