@@ -24,7 +24,7 @@ from .integrate import IntegratorConfig, solve
 from .problemfile import parse_problem
 from .problems import builtin, builtin_names
 
-SUMMARY_SCHEMA = 5
+SUMMARY_SCHEMA = 6
 
 
 def _fmt(x):
@@ -177,8 +177,7 @@ def _setup(args):
 
 def _config_echo(args, theta0):
     keys = ["problem", "size", "k_theta", "k_h", "k_g", "k_theta_file", "k_h_file",
-            "k_g_file", "method", "rel_tol", "abs_tol", "t_end", "fixed_horizon", "pts",
-            "stationarity_tol"]
+            "k_g_file", *(f.name for f in fields(IntegratorConfig)), "pts"]
     echo = {k: getattr(args, k, None) for k in keys}
     for k in ("k_theta", "k_h", "k_g"):
         if echo[k + "_file"] is not None:   # the file's gains ran, not the scalar's
@@ -285,7 +284,6 @@ def _add_run_options(p):
     p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
     p.add_argument("--t-end", type=float, default=defaults.t_end)
     p.add_argument("--fixed-horizon", action="store_true")
-    p.add_argument("--stationarity-tol", type=float, default=defaults.stationarity_tol)
     p.add_argument("--pts", default=None,
                    help="priority groups of 1-based rows, e.g. '1,2,3;4,5'")
     p.add_argument("--out", default=".")

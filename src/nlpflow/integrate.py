@@ -20,8 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import dynamics, monitor
-from .errors import (EvaluationError, InvalidInputError, NlpflowError, NumericFailureError,
-                     StepFailureError)
+from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFailureError
 from .problems import FD_REL_STEP, curvature_at, evaluate
 
 _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
@@ -34,14 +33,13 @@ _ENDGAME_GROWTH = 2.0   # least growth of the endgame's h per kept iteration
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection, tolerances, horizon, and the convergence test.
+    """Stepper selection, tolerances and horizon.
 
     The first step is ``_H_INIT * t_end`` and no step exceeds
     ``_H_MAX * t_end``; steps never fall below ``_H_MIN``.
-    ``fixed_horizon`` disables early termination on convergence and the
-    endgame, matching runs that integrate the full horizon for table
-    reproduction.  A snapshot converges when ``monitor.converged`` holds
-    for its KKT report at ``stationarity_tol``.
+    ``fixed_horizon`` disables early termination on convergence
+    (``monitor.converged``) and the endgame, matching runs that integrate
+    the full horizon for table reproduction.
     """
 
     method: str = "rk45"
@@ -49,12 +47,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-6
     t_end: float = 100.0
     fixed_horizon: bool = False
-    stationarity_tol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in ("rk45", "stiff"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        for name in ("rel_tol", "abs_tol", "t_end", "stationarity_tol"):
+        for name in ("rel_tol", "abs_tol", "t_end"):
             if not 0 < getattr(self, name) < math.inf:   # also false for nan
                 raise InvalidInputError(f"{name} must be positive and finite")
         if _H_INIT * self.t_end < _H_MIN:
@@ -99,11 +96,11 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
     return float(np.max(np.abs(err) / scale))
 
 
-def step_rk45(rhs, y, h, rel_tol, abs_tol, f0=None):
+def step_rk45(rhs, y, h, rel_tol, abs_tol, f0):
     """One embedded 5(4) step.  Returns (y_new, err_norm); the step is
     acceptable when err_norm <= 1.  ``f0 = rhs(y)``, the first stage, may
     be reused across rejected attempts at the same point."""
-    k = [rhs(y) if f0 is None else f0]
+    k = [f0]
     for row in _DP_A[1:]:
         k.append(rhs(y + h * sum(a * ki for a, ki in zip(row, k))))
     y_new = y + h * sum(b * ki for b, ki in zip(_DP_B, k) if b)
@@ -137,9 +134,8 @@ _ROS_M = (1.221224509226641, 6.019134481288629, 12.53708332932087,
 _ROS_E = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def fd_jacobian(rhs, y, f0=None):
-    """Forward-difference Jacobian of an autonomous right-hand side."""
-    f0 = rhs(y) if f0 is None else f0
+def fd_jacobian(rhs, y, f0):
+    """Forward-difference Jacobian at y of an autonomous rhs; f0 = rhs(y)."""
     n = y.size
     jac = np.empty((f0.size, n))
     for j in range(n):
@@ -157,11 +153,10 @@ def lu_factor(a):
     return factor(a)
 
 
-def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0=None):
+def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0):
     """One L-stable Rosenbrock 4(3) step on the Jacobian ``jac`` of ``rhs``
     at y.  Same return convention and acceptance test as step_rk45.  ``jac``
     and ``f0`` may be reused across rejected attempts at the same point."""
-    f0 = rhs(y) if f0 is None else f0
     from scipy.linalg import lu_solve
     n = y.size
     lhs = np.eye(n) / (h * _ROS_GAMMA) - jac
@@ -173,7 +168,10 @@ def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0=None):
     for i in range(6):
         fi = rhs(y + sum(a * kj for a, kj in zip(_ROS_A[i], k))) if i else f0
         stage_rhs = fi + sum((c / h) * kj for c, kj in zip(_ROS_C[i], k))
-        k.append(lu_solve(lu, stage_rhs))
+        try:
+            k.append(lu_solve(lu, stage_rhs))
+        except ValueError as exc:
+            raise NumericFailureError(f"stage solve failed: {exc}") from exc
     y_new = y + sum(m * ki for m, ki in zip(_ROS_M, k))
     err = sum(e * ki for e, ki in zip(_ROS_E, k) if e)
     if not np.isfinite(y_new).all():
@@ -202,9 +200,9 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
     [0.2, 1] right after a rejection (e_prev: the last accepted e, >= 1e-4;
     rk45 k = 1/5, beta = 0.08; the L-stable stiff pair k = 1/4, beta = 0).
     A rejection scales h by max(0.2, _SAFETY * e**-k), 0.5 for a non-finite e
-    or a trial stage that raises an ``EvaluationError`` or a
-    ``NumericFailureError`` (cycling, an infeasible subproblem, a non-finite
-    flow); such an error at y0 or at an accepted point stays fatal.
+    or a trial stage that raises an ``NlpflowError`` (a non-finite point or
+    value, cycling, an infeasible subproblem, a failed stage solve); such an
+    error at y0 or at an accepted point stays fatal.
     ``f0 = rhs(y)`` is computed once per base point and shared by every
     attempt from it.  The stiff stepper's Jacobian, also one per base point,
     is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
@@ -230,7 +228,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
         stepper = partial(step_stiff, jac=jac) if stiff else step_rk45
         try:
             y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
-        except (EvaluationError, NumericFailureError):
+        except NlpflowError:
             err_norm = math.inf
             res.trial_rejections += 1
         factor = _step_factor(err_norm, err_prev, fac_max, order_exponent, beta)
@@ -402,7 +400,7 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
             working=warm, report=report,
             lyapunov=monitor.lyapunov_value(point, res.working_set.activated),
             objective=point.f))
-        if monitor.converged(report, config.stationarity_tol) and not config.fixed_horizon:
+        if monitor.converged(report) and not config.fixed_horizon:
             traj.verdict = "converged"
         return traj.verdict != "continue"
 

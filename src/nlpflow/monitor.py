@@ -30,11 +30,11 @@ class KktReport:
                    self.complementarity, self.sign_violation)
 
 
-def converged(report, stationarity_tol):
+def converged(report):
     """True when a snapshot counts as the KKT point: stationarity within
-    ``stationarity_tol``, equality and inequality violation and
-    complementarity within 1e-8, and multiplier signs within 1e-9."""
-    return (report.stationarity <= stationarity_tol
+    1e-6, equality and inequality violation and complementarity within
+    1e-8, and multiplier signs within 1e-9."""
+    return (report.stationarity <= 1e-6
             and report.ec_violation <= 1e-8 and report.iec_violation <= 1e-8
             and report.complementarity <= 1e-8 and report.sign_violation <= 1e-9)
 

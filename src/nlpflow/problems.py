@@ -72,7 +72,10 @@ class EvalPoint:
 def _shaped(value, shape, component):
     """``value`` as a finite float array of ``shape``, else EvaluationError
     naming the component, and the first row of a non-finite entry."""
-    a = np.asarray(value, dtype=float)
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(f"{component} is not numeric: {exc}", component=component) from None
     if a.shape != shape:
         if a.size != math.prod(shape):
             raise EvaluationError(f"{component} has {a.size} entries, expected shape {shape}",

@@ -54,7 +54,7 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert np.allclose(summary["pi_e_final"], [0.35, 0.70], atol=0.01)
     assert summary["seed"] == 7
     assert summary["config"]["theta0"] == [-4.8578, 3.8180, -2.7364]
-    assert summary["schema_version"] == 5
+    assert summary["schema_version"] == 6
     assert "initial_lp_gamma" not in summary
     assert summary["rejected_count"] > 0
     assert summary["trial_rejections"] == 0
@@ -119,7 +119,7 @@ def test_run_theta0_dimension_mismatch(tmp_path, capsys):
     (["--theta0", "1,1,1", "--k-g", "nan"], "k_g must be finite"),
     (["--theta0", "1,1,1", "--rel-tol", "nan"], "rel_tol"),
     (["--theta0", "1,1,1", "--t-end", "inf"], "t_end"),
-    (["--theta0", "1,1,1", "--stationarity-tol", "0"], "stationarity_tol"),
+    (["--theta0", "1,1,1", "--abs-tol", "0"], "abs_tol"),
     (["--theta0", "1,1,1", "--pts", "1,2;2,3"], "disjoint"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, options, token):
@@ -195,6 +195,27 @@ def test_gain_matrix_from_file(tmp_path):
     assert (config["k_theta"], config["k_theta_file"]) == (None, str(ktheta))
     assert (config["k_h"], config["k_h_file"]) == (1.0, None)
     assert (config["k_g"], config["k_g_file"]) == (0.1, None)
+
+
+def test_config_echo_replays_the_integrator_config(tmp_path, monkeypatch):
+    ran = []
+    solve = nlpflow.cli.solve
+
+    def recorded(*args, integrator, **kwargs):
+        ran.append(integrator)
+        return solve(*args, integrator=integrator, **kwargs)
+
+    monkeypatch.setattr(nlpflow.cli, "solve", recorded)
+    assert main(["run", "--problem", "ec-quadratic", "--theta0", "0,0", "--k-h", "1",
+                 "--method", "stiff", "--rel-tol", "1e-4", "--abs-tol", "1e-8",
+                 "--t-end", "30", "--fixed-horizon", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    fields = dataclasses.fields(nlpflow.IntegratorConfig)
+    assert nlpflow.IntegratorConfig(**{f.name: config[f.name] for f in fields}) == ran[0]
+    assert ran[0] == nlpflow.IntegratorConfig("stiff", 1e-4, 1e-8, 30.0, True)
+    assert list(config) == ["problem", "size", "k_theta", "k_h", "k_g", "k_theta_file",
+                            "k_h_file", "k_g_file", "method", "rel_tol", "abs_tol", "t_end",
+                            "fixed_horizon", "pts", "theta0"]
 
 
 def test_stiff_run_reports_jacobian_count(tmp_path):

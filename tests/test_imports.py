@@ -1,6 +1,8 @@
 """Every name imported by the package and the tests is read somewhere in
 the importing file.  Names listed in ``__all__`` count as read, and
-``from __future__`` imports are skipped."""
+``from __future__`` imports are skipped.  Every private module-level name
+of the package is read by some other statement of it, so removing a
+helper's last caller removes the helper too."""
 
 import ast
 import pathlib
@@ -39,3 +41,44 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def reads(stmt):
+    """The names a statement loads and the attribute names it reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unreferenced_private_names(sources):
+    """(file, name) of each module-level private name (one leading
+    underscore, not a dunder) that no other top-level statement of
+    ``sources`` ({file: text}) reads; a helper that only calls itself
+    counts as unreferenced."""
+    defined, statements = [], []
+    for file, source in sources.items():
+        for stmt in ast.parse(source).body:
+            statements.append(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(file, name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    read_by = [(stmt, reads(stmt)) for stmt in statements]
+    return sorted((file, name) for file, name, stmt in defined
+                  if not any(name in names for other, names in read_by if other is not stmt))
+
+
+def test_scanner_finds_an_unreferenced_helper():
+    sources = {"a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _f()\n"
+                       "class _C:\n    pass\ndef g():\n    return _A\n",
+               "b.py": "from a import g\nimport a\nprint(a._C)\n"}
+    assert unreferenced_private_names(sources) == [("a.py", "_B"), ("a.py", "_f")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in sorted(ROOT.glob("src/nlpflow/*.py"))}
+    assert unreferenced_private_names(sources) == []

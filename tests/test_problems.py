@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import builtin
+from nlpflow import GainSet, builtin, solve
 from nlpflow.errors import EvaluationError, InvalidInputError, UnknownProblemError
 from nlpflow.problems import (
     NlpProblem,
@@ -162,6 +162,24 @@ class TestDerivativeValidation:
             check_derivatives(bad)
         with pytest.raises(EvaluationError, match="entries"):
             evaluate(bad, OPT1)
+
+    def test_non_numeric_objective_is_an_evaluation_error_verdict(self):
+        bad = dataclasses.replace(builtin("example1"), objective=lambda t: "x")
+        traj = solve(bad, OPT1, GainSet.uniform(3, 2, 5))
+        assert traj.verdict == "error:EvaluationError"
+        assert traj.error.component == "objective"
+        assert traj.samples == []
+
+    def test_ragged_jacobian_names_its_component(self):
+        p = builtin("example1")
+
+        def ragged(t):
+            f_grad, g_jac, h_jac = p.derivatives(t)
+            return f_grad, [list(row) for row in g_jac[:4]] + [[1.0]], h_jac
+
+        with pytest.raises(EvaluationError, match="ineq jacobian") as exc:
+            evaluate(dataclasses.replace(p, derivatives=ragged), OPT1)
+        assert exc.value.component == "ineq jacobian"
 
     def test_fd_oracle_on_quadratic(self):
         p = builtin("unconstrained-quadratic", size=3)
