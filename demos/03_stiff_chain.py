@@ -12,8 +12,9 @@ steps.  Two starts are shown:
 
 On the ramp start several band constraints conflict transiently, so the
 working set changes often and many steps are rejected before the flow
-untangles itself.  Each Rosenbrock step uses the exact flow Jacobian on the
-working set settled at its base point.
+untangles itself.  Each Rosenbrock step uses the exact flow linearization on
+the working set settled at its base point, and solves its stages as banded
+saddle-point systems without forming the 100 x 100 Jacobian.
 """
 
 import time

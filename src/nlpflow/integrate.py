@@ -3,12 +3,14 @@
 Two embedded steppers drive the outer solve loop, and ``integrate_ode``
 alone sets their step size: an explicit Dormand-Prince 5(4) pair under PI
 control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
-(RODAS-type tableau, Hairer & Wanner) for stiff ones.  ``solve`` gives the
-Rosenbrock stepper the exact flow Jacobian on the working set settled at
-each base point (``dynamics.flow_jacobian``, one Gram solve); on a plain
-right-hand side ``integrate_ode`` takes forward differences (``fd_jacobian``).
-Once the working set has settled, ``solve`` leaves the integration for a
-pseudo-transient Newton endgame on the same Jacobian.
+(RODAS-type tableau, Hairer & Wanner) for stiff ones.  The Rosenbrock
+stepper takes a factor, sigma -> the solve v -> (sigma I - J)^-1 v.
+``solve`` builds it from the exact flow linearization on the working set
+settled at each base point (``dynamics.linearize``: a certified banded
+saddle-point LU, or the formed ``dynamics.flow_jacobian``); on a plain
+right-hand side ``integrate_ode`` factors forward differences
+(``fd_jacobian``).  Once the working set has settled, ``solve`` leaves the
+integration for a pseudo-transient Newton endgame on the same linearization.
 """
 
 from __future__ import annotations
@@ -147,31 +149,36 @@ def fd_jacobian(rhs, y, f0):
 
 
 def lu_factor(a):
-    """scipy's LU factorization, imported on first use: only the stiff
-    stepper needs scipy, so explicit solves never load it."""
-    from scipy.linalg import lu_factor as factor
-    return factor(a)
-
-
-def step_stiff(rhs, y, h, rel_tol, abs_tol, jac, f0):
-    """One L-stable Rosenbrock 4(3) step on the Jacobian ``jac`` of ``rhs``
-    at y.  Same return convention and acceptance test as step_rk45.  ``jac``
-    and ``f0`` may be reused across rejected attempts at the same point."""
-    from scipy.linalg import lu_solve
-    n = y.size
-    lhs = np.eye(n) / (h * _ROS_GAMMA) - jac
+    """``solve(v) = a^-1 v`` from scipy's LU of a, with scipy imported on
+    first use.  A non-finite a is a NumericFailureError."""
+    from scipy.linalg import lu_factor as factor, lu_solve
     try:
-        lu = lu_factor(lhs)
+        return partial(lu_solve, factor(a))
     except ValueError as exc:
         raise NumericFailureError(f"stage matrix factorization failed: {exc}") from exc
+
+
+def dense_factor(jac):
+    """The factor of a formed Jacobian: ``factor(sigma)`` is the solve
+    v -> (sigma I - jac)^-1 v, by one LU per sigma."""
+    return lambda sigma: lu_factor(np.eye(jac.shape[0]) * sigma - jac)
+
+
+def step_stiff(rhs, y, h, rel_tol, abs_tol, factor, f0):
+    """One L-stable Rosenbrock 4(3) step at y.  ``factor(sigma)`` gives the
+    solve v -> (sigma I - J)^-1 v for the Jacobian J of ``rhs`` at y; the
+    step factors once, at sigma = 1/(h gamma), for its six stages, and a
+    non-finite stage right-hand side is a NumericFailureError.  Same return
+    convention and acceptance test as step_rk45.  ``factor`` and ``f0`` may
+    be reused across rejected attempts at the same point."""
+    solve = factor(1 / (h * _ROS_GAMMA))
     k = []
     for i in range(6):
         fi = rhs(y + sum(a * kj for a, kj in zip(_ROS_A[i], k))) if i else f0
         stage_rhs = fi + sum((c / h) * kj for c, kj in zip(_ROS_C[i], k))
-        try:
-            k.append(lu_solve(lu, stage_rhs))
-        except ValueError as exc:
-            raise NumericFailureError(f"stage solve failed: {exc}") from exc
+        if not np.isfinite(stage_rhs).all():
+            raise NumericFailureError("stage right-hand side is not finite")
+        k.append(solve(stage_rhs))
     y_new = y + sum(m * ki for m, ki in zip(_ROS_M, k))
     err = sum(e * ki for e, ki in zip(_ROS_E, k) if e)
     if not np.isfinite(y_new).all():
@@ -191,7 +198,7 @@ class OdeResult:
     trial_rejections: int = 0
 
 
-def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
+def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None,
                   max_steps=_MAX_STEPS):
     """Drive a stepper from 0 to t_end with accept/reject step control.
 
@@ -204,8 +211,9 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
     value, cycling, an infeasible subproblem, a failed stage solve); such an
     error at y0 or at an accepted point stays fatal.
     ``f0 = rhs(y)`` is computed once per base point and shared by every
-    attempt from it.  The stiff stepper's Jacobian, also one per base point,
-    is ``jacobian(y)`` when given and ``fd_jacobian(rhs, y, f0)`` otherwise.
+    attempt from it.  So is the stiff stepper's factor (see ``step_stiff``):
+    ``linearize(y)`` when given, else ``dense_factor`` of
+    ``fd_jacobian(rhs, y, f0)``.
     ``callback(t, y)`` runs after each accepted step; returning True
     stops the integration early.  Progress is kept in ``result`` (a new
     OdeResult when None), so a caller passing its own still reads the step
@@ -224,8 +232,9 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, jacobian=None,
         if f0 is None:
             f0 = rhs(res.y)
             if stiff:
-                jac = fd_jacobian(rhs, res.y, f0) if jacobian is None else jacobian(res.y)
-        stepper = partial(step_stiff, jac=jac) if stiff else step_rk45
+                shifted = (dense_factor(fd_jacobian(rhs, res.y, f0)) if linearize is None
+                           else linearize(res.y))
+        stepper = partial(step_stiff, factor=shifted) if stiff else step_rk45
         try:
             y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
         except NlpflowError:
@@ -280,11 +289,11 @@ class Trajectory:
     rejected attempts, ``trial_rejections`` those failed at a trial stage,
     ``endgame_steps``/``endgame_fallbacks`` endgame iterations kept and
     discarded, ``rhs_eval_count`` evaluations at distinct flow points (one
-    ``evaluate`` each), ``jacobian_count`` flow Jacobians (one per stiff
-    base point or endgame iteration's base point).
+    ``evaluate`` each), ``jacobian_count`` flow linearizations (one per
+    stiff base point or endgame iteration's base point).
     Builtin and parsed problems have a curvature oracle; for a hand-built
-    problem without one, each Jacobian also calls its derivative oracle n
-    times, which ``rhs_eval_count`` does not include.
+    problem without one, each linearization also calls its derivative
+    oracle n times, which ``rhs_eval_count`` does not include.
     """
 
     samples: list = field(default_factory=list)
@@ -321,14 +330,16 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     lies on it bitwise (Dormand-Prince), and ``flow`` returns that stage's
     result for the same point, schedule and warm start, so each accepted
     point is evaluated and settled once (settled again if the schedule
-    advanced there).  The stiff Jacobian at a base point is
-    ``dynamics.flow_jacobian`` of the snapshot's point and settled flow,
-    formed once even when an endgame iteration from there falls back.
+    advanced there).  The stiff linearization at a base point is
+    ``dynamics.linearize`` of the snapshot's point and settled flow, made
+    once even when an endgame iteration from there falls back; the stepper
+    factors it with ``lu_factor`` and the endgame with ``np.linalg.solve``
+    when it has no band (so rk45 solves on formed Jacobians load no scipy).
 
     Endgame (never under ``fixed_horizon``): once all priority groups are
     enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
     pseudo-transient continuation takes the steps delta = (I/h - J)^-1 F on
-    the last snapshot's flow F and flow Jacobian J, h growing from the last
+    the last snapshot's flow F and its linearization, h growing from the last
     accepted step by max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's
     method on F = 0 in the limit).  theta + delta is a snapshot, at the
     endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
@@ -353,7 +364,7 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     traj = Trajectory()
     ode = OdeResult()
     warm = ()
-    base = jac = None   # the last snapshot's point and settled flow, and their flow Jacobian
+    base = lin = None   # the last snapshot's point and settled flow, and their linearization
     last = None   # the last point evaluated
     last_flow = (None,)   # the last settlement, after the point, schedule and warm start it used
     held, settled = 0, None   # snapshots in a row with this working set and group count
@@ -377,23 +388,23 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
             return base[1].dtheta
         return flow(evaluate_at(theta)).dtheta
 
-    def jacobian(theta):
-        nonlocal jac
-        if jac is None:
+    def linearization():
+        nonlocal lin
+        if lin is None:
             point, res = base
             traj.jacobian_count += 1
-            jac = dynamics.flow_jacobian(point, gains, res, partial(curvature_at, problem))
-        return jac
+            lin = dynamics.linearize(point, gains, res, partial(curvature_at, problem))
+        return lin
 
     def snapshot(tau, point, res=None):
         """Record the accepted point; True once the verdict is final."""
-        nonlocal pts, warm, base, jac, held, settled
+        nonlocal pts, warm, base, lin, held, settled
         pts = dynamics.pts_update(pts, point)
         res = flow(point) if res is None else res
         warm = res.working_set.working
         held = held + 1 if (warm, pts.enabled) == settled else 1
         settled = (warm, pts.enabled)
-        base, jac = (point, res), None
+        base, lin = (point, res), None
         report = monitor.kkt_report(point, res)
         traj.samples.append(FlowState(
             tau=tau, theta=point.theta, pi_e=res.pi_e, pi_i=res.pi_i,
@@ -417,8 +428,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
             point, res = base
             f_norm, new_norm = float(np.linalg.norm(res.dtheta)), math.inf
             try:
-                lhs = np.eye(point.theta.size) / h - jacobian(point.theta)
-                delta = np.linalg.solve(lhs, res.dtheta)
+                solve = linearization()(1 / h, lambda lhs: partial(np.linalg.solve, lhs))
+                delta = solve(res.dtheta)
                 if delta @ res.dtheta > 0:   # else I/h - J is indefinite: no stable equilibrium
                     new = evaluate_at(point.theta + delta)
                     trial = flow(new)
@@ -438,7 +449,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
             while traj.verdict == "continue":
-                integrate_ode(rhs, traj.final.theta, config, result=ode, jacobian=jacobian,
+                integrate_ode(rhs, traj.final.theta, config, result=ode,
+                              linearize=lambda theta: partial(linearization(), dense=lu_factor),
                               callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta))
                                                            or endgame_ready()),
                               max_steps=_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks)

@@ -11,6 +11,8 @@ m * eps * lambda_max count as zero, i.e. singular values of H K^(1/2) below
 sqrt(m * eps) * sigma_max.
 - Banded LU (``dgbtrf``): from ``_BAND_MIN_ROWS`` rows up, when K is
   diagonal and G, with H's rows ordered by first nonzero column, is banded.
+  Its certified LU, ``banded_lu``, also solves the flow's saddle-point
+  systems (``dynamics.linearize``).
 - Cholesky (``dpotrf``): from ``_CHOLESKY_MIN_ROWS`` rows up.
 - ``eigh``: forms G+ and sets the rank.
 The first two solve only when a 1-norm condition estimate certifies that
@@ -70,19 +72,17 @@ def pinv_gram(rows, gain, rhs):
 def _banded_solve(rows, d, rhs):
     """(H diag(d) H^T)^-1 rhs by a banded LU, or None.
 
-    The rows are ordered by first nonzero column (Cuthill & McKee 1969), so
-    the rows after row i that share a column with it are those that start at
-    or before its last nonzero column, and ``searchsorted`` gives the
+    The rows are ordered by first nonzero column (``first_columns``), so the
+    rows after row i that share a column with it are those that start at or
+    before its last nonzero column, and ``searchsorted`` gives the
     half-bandwidth.  None when the band is not narrower than a quarter of the
     rows (a zero row, read as spanning every column, makes it so) or when
-    dgbcon's estimate does not certify the LU.
+    ``banded_lu`` finds no certified LU.
     """
     m = rows.shape[0]
-    nonzero = rows != 0
-    first = nonzero.argmax(axis=1)
+    first, last = first_columns(rows), rows.shape[1] - 1 - first_columns(rows[:, ::-1])
     order = np.argsort(first, kind="stable")
-    first = first[order]
-    last = rows.shape[1] - 1 - nonzero[order, ::-1].argmax(axis=1)
+    first, last = first[order], last[order]
     bw = int((np.searchsorted(first, last, side="right") - np.arange(1, m + 1)).max())
     if 4 * bw >= m:
         return None
@@ -92,16 +92,34 @@ def _banded_solve(rows, d, rhs):
     ab[2 * bw] = np.einsum("ij,j,ij->i", h, d, h)
     for k in range(1, bw + 1):
         ab[2 * bw - k, k:] = ab[2 * bw + k, :-k] = np.einsum("ij,j,ij->i", h[:-k], d, h[k:])
+    solve = banded_lu(ab, bw, bw, order)
+    return None if solve is None else solve(rhs)
+
+
+def first_columns(rows):
+    """Each row's first nonzero column, 0 for a zero row.  Ordering rows by it
+    (Cuthill & McKee 1969) makes a chain's Gram and saddle-point matrices
+    banded."""
+    return (rows != 0).argmax(axis=1)
+
+
+def banded_lu(ab, kl, ku, order):
+    """``solve(b) = A^-1 b`` for b of N rows, where A's rows and columns, both
+    in ``order``, form the band matrix B in LAPACK storage ``ab`` (B[i, j] at
+    ab[kl + ku + i - j, j], the top kl rows left for fill); None unless
+    dgbtrf factors B and dgbcon's estimate passes ``_certified``."""
     from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
-    lu, piv, info = dgbtrf(ab, bw, bw)
-    if info != 0:
+    size = ab.shape[1]
+    lu, piv, info = dgbtrf(ab, kl, ku)
+    if info != 0 or not _certified(
+            dgbcon(kl, ku, lu, piv, np.abs(ab).sum(axis=0).max())[0], size):
         return None
-    rcond, _ = dgbcon(bw, bw, lu, piv, np.abs(ab).sum(axis=0).max())
-    if not _certified(rcond, m):
-        return None
-    sol = np.empty_like(rhs)
-    sol[order] = dgbtrs(lu, bw, bw, rhs[order].reshape(m, -1), piv)[0].reshape(rhs.shape)
-    return sol
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = dgbtrs(lu, kl, ku, b[order].reshape(size, -1), piv)[0].reshape(b.shape)
+        return x
+    return solve
 
 
 def pinv_psd(g, rhs):

@@ -13,12 +13,13 @@ from nlpflow.dynamics import (
     classify,
     feasibility_lp,
     flow_jacobian,
+    linearize,
     pts_update,
     resolve_working_set,
     rhs_general,
 )
 from nlpflow.errors import InvalidInputError, NumericFailureError
-from nlpflow.integrate import fd_jacobian
+from nlpflow.integrate import _ROS_GAMMA, fd_jacobian
 from nlpflow.linalg import pinv_psd
 from nlpflow.problems import EvalPoint, curvature_at, evaluate
 
@@ -477,10 +478,11 @@ class TestFeasibilityLp:
 
 
 class TestFlowJacobian:
-    """The exact flow Jacobian against forward differences of rhs_general
-    with the working set frozen."""
+    """The exact flow Jacobian, and the shifted solve v -> (sigma I - J)^-1 v
+    of its linearization, against forward differences of rhs_general with the
+    working set frozen."""
 
-    def check(self, problem, theta, gains, working, rank):
+    def check(self, problem, theta, gains, working, rank, banded=False):
         ws = WorkingSet(activated=working, working=working)
         point = evaluate(problem, theta)
         res = rhs_general(point, gains, ws)
@@ -490,6 +492,24 @@ class TestFlowJacobian:
         ref = fd_jacobian(lambda t: rhs_general(evaluate(problem, t), gains, ws).dtheta,
                           theta, res.dtheta)
         assert np.abs(jac - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+
+        def dense(lhs):
+            assert not banded, "the banded path formed sigma I - J"
+            return lambda v: np.linalg.solve(lhs, v)
+
+        factor = linearize(point, gains, res, lambda *args: curvature_at(problem, *args))
+        v = np.random.default_rng(7).standard_normal(theta.size)
+        # the stiff stepper's sigma = 1/(h gamma) at h = 0.05, 1 and 100
+        for sigma in (1 / (0.05 * _ROS_GAMMA), 1 / _ROS_GAMMA, 1 / (100 * _ROS_GAMMA)):
+            got = factor(sigma, dense)(v)
+            # the solve inverts a matrix within 1e-5 of sigma I - J_fd; its
+            # difference from the solve with J_fd is that times the condition
+            # number, which for the chain reaches 2e3 at h = 100
+            lhs = sigma * np.eye(theta.size) - ref
+            assert (np.abs(lhs @ got - v).max()
+                    <= 1e-5 * np.abs(lhs).sum(axis=1).max() * np.abs(got).max())
+            want = np.linalg.solve(sigma * np.eye(theta.size) - jac, v)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_rank_deficient_gram(self):
         # the duplicated equality leaves 4 stacked rows of rank 3: eigh branch
@@ -527,8 +547,9 @@ class TestFlowJacobian:
                         rng.uniform(0.5, 2.0, 2 * n))
         theta = rng.uniform(0.7, 1.2, n)
         # the band row, appended after the equalities, makes the Gram arrow-shaped
-        self.check(builtin("example2", size=n), theta, gains, working=(6,), rank=n)
-        assert calls[0] >= 2
+        self.check(builtin("example2", size=n), theta, gains, working=(6,), rank=n,
+                   banded=True)
+        assert calls[0] >= 5
 
     def test_empty_equality_gain_of_either_shape(self):
         # GainSet accepts any empty k_h when there is no equality

@@ -16,8 +16,8 @@ import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, solve
 from nlpflow.errors import (EvaluationError, InvalidInputError, NlpflowError,
                             NumericFailureError, StepFailureError)
-from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, fd_jacobian, step_rk45,
-                               step_stiff)
+from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, dense_factor, fd_jacobian,
+                               step_rk45, step_stiff)
 from nlpflow.monitor import converged
 from nlpflow.problems import NlpProblem, evaluate
 
@@ -110,8 +110,9 @@ class TestSteppers:
 
     def test_single_step_acceptance_contract(self):
         y = np.array([1.0])
-        for stepper, jac in ((step_rk45, {}), (step_stiff, {"jac": -np.eye(1)})):
-            y_new, err_norm = stepper(decay, y, 1e-3, 1e-3, 1e-6, f0=decay(y), **jac)
+        stiff = {"factor": dense_factor(-np.eye(1))}
+        for stepper, factor in ((step_rk45, {}), (step_stiff, stiff)):
+            y_new, err_norm = stepper(decay, y, 1e-3, 1e-3, 1e-6, f0=decay(y), **factor)
             assert err_norm <= 1.0
             assert abs(y_new[0] - math.exp(-1e-3)) <= 1e-9
 
@@ -235,7 +236,8 @@ class TestStepControl:
 
         taus = []
         res = integrate_ode(rhs, np.array([1.0]), IntegratorConfig(method=method, t_end=1.0),
-                            callback=lambda t, y: taus.append(t), jacobian=lambda y: -np.eye(1))
+                            callback=lambda t, y: taus.append(t),
+                            linearize=lambda y: dense_factor(-np.eye(1)))
         assert res.rejected == res.trial_rejections == 2
         assert taus[0] == 0.25 * 1e-3
         assert abs(res.y[0] - math.exp(-1.0)) <= 1e-6
@@ -543,7 +545,7 @@ class TestSolve:
     def test_overflowed_trial_stages_are_rejections(self, method):
         # the flow -1e308 cos(x) overflows every trial stage: an rk45 stage
         # point reaches evaluate as inf, and a stiff stage right-hand side
-        # reaches the LU solve as inf; each is a rejected attempt
+        # is inf before its solve; each is a rejected attempt
         p = NlpProblem(
             name="huge", n=1, r=0, s=0,
             objective=lambda t: 1e308 * math.sin(t[0]),
@@ -643,21 +645,20 @@ def count_calls(monkeypatch, module, name):
 class TestStiffJacobian:
     def test_one_flow_jacobian_per_base_point(self, monkeypatch):
         fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
-        exact = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
-        bases, jacobian_points = set(), []
+        bases, linearized_points = set(), []
         step = nlpflow.integrate.step_stiff
-        flow_jacobian = nlpflow.dynamics.flow_jacobian
+        linearize = nlpflow.dynamics.linearize
 
         def recorded_step(rhs, y, *args, **kwargs):
             bases.add(y.tobytes())
             return step(rhs, y, *args, **kwargs)
 
-        def recorded_jacobian(point, *args):
-            jacobian_points.append(point.theta.tobytes())
-            return flow_jacobian(point, *args)
+        def recorded_linearize(point, *args):
+            linearized_points.append(point.theta.tobytes())
+            return linearize(point, *args)
 
         monkeypatch.setattr(nlpflow.integrate, "step_stiff", recorded_step)
-        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", recorded_jacobian)
+        monkeypatch.setattr(nlpflow.dynamics, "linearize", recorded_linearize)
         n = 10
         p = builtin("example2", size=n)
         gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
@@ -666,15 +667,43 @@ class TestStiffJacobian:
         assert traj.verdict == "converged"
         assert fd[0] == 0
         assert traj.endgame_steps > 0 and traj.endgame_fallbacks > 0
-        # one Jacobian per stepper base and per endgame iteration, except that
-        # an iteration that falls back shares its base, and so its Jacobian,
-        # with the integration that resumes from there
-        assert exact[0] == traj.jacobian_count == len(bases) + traj.endgame_steps
-        assert len(set(jacobian_points)) == len(jacobian_points) == exact[0]
-        assert bases <= set(jacobian_points)
+        # one linearization per stepper base and per endgame iteration, except
+        # that an iteration that falls back shares its base, and so its
+        # linearization, with the integration that resumes from there
+        exact = len(linearized_points)
+        assert exact == traj.jacobian_count == len(bases) + traj.endgame_steps
+        assert len(set(linearized_points)) == exact
+        assert bases <= set(linearized_points)
         rk45 = solve(p, np.linspace(2.0, 0.8, n), gains,
                      integrator=IntegratorConfig(t_end=1.0, fixed_horizon=True))
         assert rk45.jacobian_count == 0
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_chain_factors_on_the_band(self, monkeypatch, n):
+        # every stage and endgame system of a standard start is a certified
+        # banded saddle-point solve: no flow Jacobian is formed or factored
+        formed = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        lu = count_calls(monkeypatch, nlpflow.integrate, "lu_factor")
+        banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
+        theta0 = np.random.default_rng(1).uniform(0.7, 1.2, n)
+        theta0[0] = 2.0
+        gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
+        traj = solve(builtin("example2", size=n), theta0, gains,
+                     integrator=IntegratorConfig(method="stiff", t_end=100.0))
+        assert traj.verdict == "converged"
+        assert (formed[0], lu[0]) == (0, 0)
+        assert banded[0] >= traj.jacobian_count > 0
+
+    def test_example1_factors_the_formed_jacobian(self, monkeypatch):
+        # the duplicated equality leaves H rank-deficient: no saddle-point band
+        formed = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        lu = count_calls(monkeypatch, nlpflow.integrate, "lu_factor")
+        banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
+        traj = solve_example1(EX1_HARD_START, "stiff")
+        assert traj.verdict == "converged"
+        assert formed[0] == traj.jacobian_count > 0
+        assert lu[0] > 0
+        assert banded[0] == 0
 
     def test_fallback_calls_the_solved_problems_derivatives(self):
         # without a curvature oracle each Jacobian differences the derivative
