@@ -44,6 +44,8 @@ def _read(path, option, load):
 def _load_problem(source, size):
     path = Path(source)
     if path.suffix or path.exists():
+        if size is not None:
+            raise InvalidInputError("--size applies to builtin problems only")
         text = _read(path, "--problem", lambda p: p.read_text(encoding="utf-8"))
         return parse_problem(text, name=path.stem)
     return builtin(source, size)

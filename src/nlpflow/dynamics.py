@@ -162,13 +162,17 @@ class WorkingSet:
 
 @dataclass(frozen=True)
 class RhsResult:
-    """Flow direction with its multipliers and working-set diagnostics."""
+    """Flow direction with its multipliers and working-set diagnostics, and
+    the system it solved for them: ``rows``, the stacked rows H, and ``gram``,
+    ``pinv_gram``'s solve b -> (H K H^T)+ b, None when H has no row."""
 
     dtheta: np.ndarray
     pi_e: np.ndarray
     pi_i: np.ndarray
     working_set: WorkingSet
     stacked_jacobian_rank: int
+    rows: np.ndarray
+    gram: callable
 
 
 def classify(point, pts=None, warm=()):
@@ -198,16 +202,14 @@ def rhs_general(point, gains, ws):
     hbar = np.concatenate([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
     kt = gains._k_theta
-    if m == 0:
-        pi = np.zeros(0)
-        dtheta = -_gain_times(kt, point.f_grad)
-        rank = 0
-    else:
+    gram, rank, pi, grad_lag = None, 0, np.zeros(0), point.f_grad
+    if m:
         targets = np.concatenate([_gain_times(gains._k_h, point.h),
                                   gains.k_g[working] * point.g[working]])
-        sol, rank = pinv_gram(hbar, kt, times_gain(hbar, kt) @ point.f_grad - targets)
-        pi = -sol
-        dtheta = -_gain_times(kt, point.f_grad + hbar.T @ pi)
+        gram, rank = pinv_gram(hbar, kt)
+        pi = -gram(times_gain(hbar, kt) @ point.f_grad - targets)
+        grad_lag = point.f_grad + hbar.T @ pi
+    dtheta = -_gain_times(kt, grad_lag)
     if not (np.isfinite(dtheta).all() and np.isfinite(pi).all()):
         raise NumericFailureError("flow right-hand side produced non-finite values")
     if pi.size and np.linalg.norm(pi) > _MULTIPLIER_BOUND:
@@ -216,41 +218,39 @@ def rhs_general(point, gains, ws):
             f"{_MULTIPLIER_BOUND:.1e}", MultiplierBoundWarning, stacklevel=2)
     pi_i = np.zeros(point.g.size)
     pi_i[working] = pi[s:]
-    return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i,
-                     working_set=ws, stacked_jacobian_rank=rank)
+    return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i, working_set=ws,
+                     stacked_jacobian_rank=rank, rows=hbar, gram=gram)
 
 
-def flow_jacobian(point, gains, res, curvature):
+def flow_jacobian(gains, res, curv):
     """Jacobian of the flow at an evaluated point, on the smooth piece of the
     working set ``res`` settled there.
 
-    With H the stacked Jacobian of the equality and working rows, K the
-    direction gain, G = H K H^T and T = blkdiag(K_h, diag k_g[working]):
+    With H = ``res.rows``, the equality and working rows, K the direction
+    gain, G = H K H^T and T = blkdiag(K_h, diag k_g[working]):
 
         J = -K W + K H^T G+ (H K W - T H - M),
 
-    where ``curvature(point, pi_e, pi_i, v)`` gives W, the Hessian of the
-    Lagrangian at the multipliers of ``res``, and the rows of M,
-    (grad^2 c_j theta')^T over the rows of H at v = theta'.  One Gram solve
-    with a matrix right-hand side; -K W when no row is working.
+    where ``curv``, ``curvature_at``'s (W, G_v, H_v) at the multipliers of
+    ``res`` and v = theta', gives W, the Hessian of the Lagrangian, and the
+    rows of M, (grad^2 c_j theta')^T over the rows of H.  ``res.gram`` solves
+    with the matrix right-hand side; -K W when no row is working.
     """
-    w, g_v, h_v = curvature(point, res.pi_e, res.pi_i, res.dtheta)
-    kt = gains._k_theta
-    kw = _gain_times(kt, w)
-    working = list(res.working_set.working)
-    hbar = np.concatenate([point.h_jac, point.g_jac[working]])
-    if hbar.shape[0] == 0:
+    w, g_v, h_v = curv
+    kw = _gain_times(gains._k_theta, w)
+    if res.gram is None:
         return -kw
-    t_hbar = np.concatenate([_gain_times(gains._k_h, point.h_jac),
-                             gains.k_g[working, None] * point.g_jac[working]])
+    hbar, s = res.rows, res.pi_e.size
+    working = list(res.working_set.working)
+    t_hbar = np.concatenate([_gain_times(gains._k_h, hbar[:s]),
+                             gains.k_g[working, None] * hbar[s:]])
     m_rows = np.concatenate([h_v, g_v[working]])
-    sol, _ = pinv_gram(hbar, kt, hbar @ kw - t_hbar - m_rows)
-    return times_gain(hbar, kt).T @ sol - kw
+    return times_gain(hbar, gains._k_theta).T @ res.gram(hbar @ kw - t_hbar - m_rows) - kw
 
 
-def linearize(point, gains, res, curvature):
-    """The flow's linearization at an evaluated point, from one call of
-    ``curvature``: ``factor(sigma, dense)`` returns the solve
+def linearize(gains, res, curv):
+    """The flow's linearization from a settled flow ``res`` and ``curv`` as in
+    ``flow_jacobian``: ``factor(sigma, dense)`` returns the solve
     v -> (sigma I - J)^-1 v for the Jacobian J of ``flow_jacobian``.
 
     With diagonal gains and m > 0 stacked rows H of full row rank, the solve
@@ -266,11 +266,10 @@ def linearize(point, gains, res, curvature):
     ``banded_lu``.  Otherwise (no row, rank-deficient H, a band not under a
     quarter of n + m, or no certified LU) it is ``dense(sigma I - J)``.
     """
-    curv = curvature(point, res.pi_e, res.pi_i, res.dtheta)
-    n = point.theta.size
+    n = res.dtheta.size
     kt, kh = gains._k_theta, gains._k_h
     working = list(res.working_set.working)
-    hbar = np.concatenate([point.h_jac, point.g_jac[working]])
+    hbar = res.rows
     size = n + hbar.shape[0]
     band = jac = None
     if size > n and res.stacked_jacobian_rank == size - n and kt.ndim == kh.ndim == 1:
@@ -309,7 +308,7 @@ def linearize(point, gains, res, curvature):
                 col_max = col_max[pos[:n]]
                 return lambda v: solve(np.concatenate([v, hbar @ v]) / row_max)[:n] / col_max
         if jac is None:
-            jac = flow_jacobian(point, gains, res, lambda *args: curv)
+            jac = flow_jacobian(gains, res, curv)
         return dense(np.eye(n) * sigma - jac)
     return factor
 

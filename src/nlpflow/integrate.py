@@ -331,10 +331,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     result for the same point, schedule and warm start, so each accepted
     point is evaluated and settled once (settled again if the schedule
     advanced there).  The stiff linearization at a base point is
-    ``dynamics.linearize`` of the snapshot's point and settled flow, made
-    once even when an endgame iteration from there falls back; the stepper
-    factors it with ``lu_factor`` and the endgame with ``np.linalg.solve``
-    when it has no band (so rk45 solves on formed Jacobians load no scipy).
+    ``dynamics.linearize`` of the snapshot's settled flow and curvature,
+    made once even when an endgame iteration from there falls back; the
+    stepper factors it with ``lu_factor`` and the endgame with
+    ``np.linalg.solve`` when it has no band (so rk45 solves on formed
+    Jacobians load no scipy).
 
     Endgame (never under ``fixed_horizon``): once all priority groups are
     enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
@@ -393,7 +394,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
         if lin is None:
             point, res = base
             traj.jacobian_count += 1
-            lin = dynamics.linearize(point, gains, res, partial(curvature_at, problem))
+            lin = dynamics.linearize(gains, res, curvature_at(problem, point, res.pi_e,
+                                                              res.pi_i, res.dtheta))
         return lin
 
     def snapshot(tau, point, res=None):

@@ -5,17 +5,17 @@ functions of their inputs, so they are safe to call concurrently.  Matrices are 
 arrays of float64; vectors are 1-D arrays.
 
 One rank convention (``rank_cutoff``) holds for ``pinv_gram`` and the
-verdict LP.  ``pinv_gram`` solves with an m-row Gram G = H K H^T on one of
-three branches, all under that convention: eigenvalues of G at or below
-m * eps * lambda_max count as zero, i.e. singular values of H K^(1/2) below
-sqrt(m * eps) * sigma_max.
+verdict LP.  ``pinv_gram`` factors an m-row Gram G = H K H^T once, for
+b -> G+ b, on one of three branches, all under that convention: eigenvalues
+of G at or below m * eps * lambda_max count as zero, i.e. singular values
+of H K^(1/2) below sqrt(m * eps) * sigma_max.
 - Banded LU (``dgbtrf``): from ``_BAND_MIN_ROWS`` rows up, when K is
   diagonal and G, with H's rows ordered by first nonzero column, is banded.
   Its certified LU, ``banded_lu``, also solves the flow's saddle-point
   systems (``dynamics.linearize``).
 - Cholesky (``dpotrf``): from ``_CHOLESKY_MIN_ROWS`` rows up.
 - ``eigh``: forms G+ and sets the rank.
-The first two solve only when a 1-norm condition estimate certifies that
+The first two factor only when a 1-norm condition estimate certifies that
 every eigenvalue would be kept, so they return rank m; anything else falls
 through to the next.  Grams under ``_CHOLESKY_MIN_ROWS`` rows go straight to
 ``eigh``, where Cholesky saves nothing, and leave scipy unloaded.
@@ -54,23 +54,23 @@ def times_gain(a, k):
     return a * k if k.ndim == 1 else a @ k
 
 
-def pinv_gram(rows, gain, rhs):
-    """``((H K H^T)+ @ rhs, rank)`` for stacked rows H (m x n) and a
-    positive-definite gain K, an n x n matrix or, when diagonal, its diagonal.
+def pinv_gram(rows, gain):
+    """``(solve, rank)``, ``solve(b) = G+ b``, for G = H K H^T of stacked rows
+    H (m x n) and a positive-definite gain K, n x n or its diagonal if diagonal.
 
-    Tries the banded solve first (see the module docstring), then forms G
-    and solves it with ``pinv_psd``.
+    Tries the banded LU first (see the module docstring), then forms G and
+    factors it with ``pinv_psd``.
     """
     m = rows.shape[0]
     if m >= _BAND_MIN_ROWS and gain.ndim == 1:
-        sol = _banded_solve(rows, gain, rhs)
-        if sol is not None:
-            return sol, m
-    return pinv_psd(times_gain(rows, gain) @ rows.T, rhs)
+        solve = _banded_solve(rows, gain)
+        if solve is not None:
+            return solve, m
+    return pinv_psd(times_gain(rows, gain) @ rows.T)
 
 
-def _banded_solve(rows, d, rhs):
-    """(H diag(d) H^T)^-1 rhs by a banded LU, or None.
+def _banded_solve(rows, d):
+    """``banded_lu``'s solve of H diag(d) H^T, or None.
 
     The rows are ordered by first nonzero column (``first_columns``), so the
     rows after row i that share a column with it are those that start at or
@@ -92,8 +92,7 @@ def _banded_solve(rows, d, rhs):
     ab[2 * bw] = np.einsum("ij,j,ij->i", h, d, h)
     for k in range(1, bw + 1):
         ab[2 * bw - k, k:] = ab[2 * bw + k, :-k] = np.einsum("ij,j,ij->i", h[:-k], d, h[k:])
-    solve = banded_lu(ab, bw, bw, order)
-    return None if solve is None else solve(rhs)
+    return banded_lu(ab, bw, bw, order)
 
 
 def first_columns(rows):
@@ -122,8 +121,8 @@ def banded_lu(ab, kl, ku, order):
     return solve
 
 
-def pinv_psd(g, rhs):
-    """``(G+ @ rhs, rank)`` for a formed symmetric PSD Gram matrix G.
+def pinv_psd(g):
+    """``(solve, rank)``, ``solve(b) = G+ b``, for a formed symmetric PSD G.
 
     From ``_CHOLESKY_MIN_ROWS`` rows up, Cholesky solves when dpocon's
     reciprocal 1-norm condition estimate is certified (``_certified``).
@@ -139,7 +138,7 @@ def pinv_psd(g, rhs):
         if info == 0:
             rcond, _ = dpocon(chol, np.abs(a).sum(axis=0).max())
             if _certified(rcond, m):
-                return dpotrs(chol, rhs)[0], m
+                return (lambda b: dpotrs(chol, b)[0]), m
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -148,4 +147,5 @@ def pinv_psd(g, rhs):
     rank = int(np.count_nonzero(keep))
     if rank < m:
         q, w = q[:, keep], w[keep]
-    return ((q / w) @ q.T) @ rhs, rank
+    pinv = (q / w) @ q.T
+    return (lambda b: pinv @ b), rank

@@ -41,22 +41,13 @@ def converged(report):
 
 def kkt_report(point, rhs):
     """Residuals of stationarity, feasibility, complementarity, and signs."""
-    grad_lag = point.f_grad.copy()
-    if point.h.size:
-        grad_lag = grad_lag + point.h_jac.T @ rhs.pi_e
-    if point.g.size:
-        grad_lag = grad_lag + point.g_jac.T @ rhs.pi_i
-    working = rhs.working_set.working
-    sign_violation = 0.0
-    if working:
-        sign_violation = max(0.0, -float(rhs.pi_i[list(working)].min()))
-    comp = float(np.abs(rhs.pi_i * point.g).max()) if point.g.size else 0.0
+    grad_lag = point.f_grad + point.h_jac.T @ rhs.pi_e + point.g_jac.T @ rhs.pi_i
     return KktReport(
         stationarity=float(np.linalg.norm(grad_lag)),
         ec_violation=float(np.linalg.norm(point.h)),
         iec_violation=float(np.linalg.norm(np.maximum(point.g, 0.0))),
-        complementarity=comp,
-        sign_violation=sign_violation,
+        complementarity=float(np.abs(rhs.pi_i * point.g).max(initial=0.0)),
+        sign_violation=max(0.0, -float(rhs.pi_i[list(rhs.working_set.working)].min(initial=0.0))),
     )
 
 

@@ -446,22 +446,16 @@ def parse_problem(text, name="problem"):
         return np.array(h_fn(theta.tolist()), dtype=float)
 
     derivatives, curvature = _oracles(shapes, n, len(trees["ineq"]), len(trees["eq"]))
-    problem = NlpProblem(name=name, n=n, r=len(trees["ineq"]), s=len(trees["eq"]),
-                         objective=objective, inequalities=inequalities,
-                         equalities=equalities, derivatives=derivatives,
-                         curvature=curvature)
-    # keep the text as written so serialize_problem can round-trip
-    object.__setattr__(problem, "_sources", sources)
-    return problem
+    # the declarations as written, comments dropped, for serialize_problem
+    declared = "".join(f"{key} {rest}\n" for key, texts in sources.items() for rest in texts)
+    return NlpProblem(name=name, n=n, r=len(trees["ineq"]), s=len(trees["eq"]),
+                      objective=objective, inequalities=inequalities,
+                      equalities=equalities, derivatives=derivatives,
+                      curvature=curvature, text=f"var {n}\n{declared}")
 
 
 def serialize_problem(problem):
     """Render a parsed problem back to problem-file text, expressions as written."""
-    try:
-        sources = problem._sources
-    except AttributeError:
-        raise ProblemParseError(
-            "only problems built by parse_problem can be serialized")
-    lines = [f"var {problem.n}"]
-    lines += [f"{keyword} {text}" for keyword, texts in sources.items() for text in texts]
-    return "\n".join(lines) + "\n"
+    if problem.text is None:
+        raise ProblemParseError("only problems built by parse_problem can be serialized")
+    return problem.text

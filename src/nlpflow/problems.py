@@ -29,7 +29,7 @@ class NlpProblem:
 
     ``derivatives(theta)`` returns ``(f_grad, g_jac, h_jac)`` with shapes
     (n,), (r, n), (s, n).  ``known_optimum`` is test-harness metadata; the
-    solver never reads it.
+    solver never reads it, nor ``text``, the file text of a parsed problem.
 
     ``curvature(theta, pi_e, pi_i, v)``, optional, returns ``(W, G_v, H_v)``:
     W (n x n) is the Hessian of the Lagrangian
@@ -50,6 +50,7 @@ class NlpProblem:
     derivatives: callable
     curvature: callable = None
     known_optimum: np.ndarray | None = None
+    text: str | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.r < 0 or self.s < 0:
@@ -71,15 +72,16 @@ class EvalPoint:
 
 def _shaped(value, shape, component):
     """``value`` as a finite float array of ``shape``, else EvaluationError
-    naming the component, and the first row of a non-finite entry."""
+    naming the component, and the first row of a non-finite entry; only unit
+    axes, such as an (n, 1) gradient's, or an empty array are reshaped."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise EvaluationError(f"{component} is not numeric: {exc}", component=component) from None
     if a.shape != shape:
-        if a.size != math.prod(shape):
-            raise EvaluationError(f"{component} has {a.size} entries, expected shape {shape}",
-                                  component=component)
+        if a.squeeze().shape != tuple(k for k in shape if k != 1) and (a.size or math.prod(shape)):
+            raise EvaluationError(f"{component} has shape {a.shape} ({a.size} entries), "
+                                  f"expected shape {shape}", component=component)
         a = a.reshape(shape)
     finite = np.isfinite(a)
     if not finite.all():
@@ -110,9 +112,18 @@ def _values(problem, theta):
             _shaped(problem.equalities(theta), (problem.s,), "eq"))
 
 
+def _parts(value, oracle):
+    """An oracle's three parts, else EvaluationError naming the oracle."""
+    try:
+        first, second, third = value
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(f"{oracle} oracle output: {exc}", component=oracle) from None
+    return first, second, third
+
+
 def _derivatives(problem, theta):
     """The derivative oracle at theta, shaped and checked finite."""
-    f_grad, g_jac, h_jac = problem.derivatives(theta)
+    f_grad, g_jac, h_jac = _parts(problem.derivatives(theta), "derivatives")
     n = problem.n
     return (_shaped(f_grad, (n,), "objective gradient"),
             _shaped(g_jac, (problem.r, n), "ineq jacobian"),
@@ -126,7 +137,7 @@ FD_REL_STEP = 1e-7    # forward-difference step, relative to max(1, |theta_j|)
 
 def _curvature(problem, theta, pi_e, pi_i, v):
     """The curvature oracle at theta, shaped and checked finite."""
-    w, g_v, h_v = problem.curvature(theta, pi_e, pi_i, v)
+    w, g_v, h_v = _parts(problem.curvature(theta, pi_e, pi_i, v), "curvature")
     n = problem.n
     return (_shaped(w, (n, n), "lagrangian hessian"),
             _shaped(g_v, (problem.r, n), "ineq curvature"),

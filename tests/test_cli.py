@@ -121,6 +121,8 @@ def test_run_theta0_dimension_mismatch(tmp_path, capsys):
     (["--theta0", "1,1,1", "--t-end", "inf"], "t_end"),
     (["--theta0", "1,1,1", "--abs-tol", "0"], "abs_tol"),
     (["--theta0", "1,1,1", "--pts", "1,2;2,3"], "disjoint"),
+    # a size that would not apply, and would still be echoed in summary.json
+    (["--problem", "{tmp}/bad.txt", "--theta0", "1", "--size", "7"], "--size applies"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, options, token):
     (tmp_path / "bad.txt").write_text("1 x\n0 1\n")

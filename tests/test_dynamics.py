@@ -67,6 +67,14 @@ class TestGainSet:
             with pytest.raises(InvalidInputError, match="must be finite"):
                 GainSet.uniform(2, 1, 1, *scalars)
 
+    @pytest.mark.parametrize("gains", [
+        (np.ones((2, 3)), np.eye(1), np.ones(1)),
+        (np.eye(2), np.ones(1), np.ones(1)),
+    ])
+    def test_rejects_non_square(self, gains):
+        with pytest.raises(InvalidInputError, match="must be square"):
+            GainSet(*gains)
+
     def test_rejects_nonpositive_decay(self):
         with pytest.raises(InvalidInputError):
             GainSet(np.eye(2), np.eye(1), np.array([1.0, 0.0]))
@@ -289,7 +297,8 @@ class TestRhsClosedForms:
             w = list(working)
             hbar = np.vstack([point.h_jac, point.g_jac[w]])
             hk = hbar @ k
-            sol, rank = pinv_psd(hk @ hbar.T, hk @ point.f_grad - np.concatenate(
+            gram, rank = pinv_psd(hk @ hbar.T)
+            sol = gram(hk @ point.f_grad - np.concatenate(
                 [k_h @ point.h, gains.k_g[w] * point.g[w]]))
             assert np.array_equal(res.dtheta, -k @ (point.f_grad - hbar.T @ sol))
             assert np.array_equal(np.concatenate([res.pi_e, res.pi_i[w]]), -sol)
@@ -297,8 +306,8 @@ class TestRhsClosedForms:
             curv, g_v, h_v = curvature_at(p, point, res.pi_e, res.pi_i, res.dtheta)
             kw = k @ curv
             t_hbar = np.vstack([k_h @ point.h_jac, gains.k_g[w, None] * point.g_jac[w]])
-            sol = pinv_psd(hk @ hbar.T, hbar @ kw - t_hbar - np.vstack([h_v, g_v[w]]))[0]
-            jac = flow_jacobian(point, gains, res, lambda *args: curvature_at(p, *args))
+            sol = gram(hbar @ kw - t_hbar - np.vstack([h_v, g_v[w]]))
+            jac = flow_jacobian(gains, res, (curv, g_v, h_v))
             assert np.array_equal(jac, hk.T @ sol - kw)
 
     def test_non_finite_flow_is_a_numeric_failure(self):
@@ -476,6 +485,12 @@ class TestFeasibilityLp:
         with pytest.raises(InvalidInputError):
             feasibility_lp(point, gains, box=1.0, activated=[])
 
+    @pytest.mark.parametrize("box", [0.0, -1.0])
+    def test_requires_a_positive_box(self, box):
+        point = make_point([1.5], f_grad=[0.0], g=[0.5], g_jac=[[1.0]])
+        with pytest.raises(InvalidInputError, match="box bound must be positive"):
+            feasibility_lp(point, GainSet.uniform(1, 0, 1), box=box, activated=[0])
+
 
 class TestFlowJacobian:
     """The exact flow Jacobian, and the shifted solve v -> (sigma I - J)^-1 v
@@ -487,8 +502,8 @@ class TestFlowJacobian:
         point = evaluate(problem, theta)
         res = rhs_general(point, gains, ws)
         assert res.stacked_jacobian_rank == rank
-        jac = flow_jacobian(point, gains, res,
-                            lambda *args: curvature_at(problem, *args))
+        curv = curvature_at(problem, point, res.pi_e, res.pi_i, res.dtheta)
+        jac = flow_jacobian(gains, res, curv)
         ref = fd_jacobian(lambda t: rhs_general(evaluate(problem, t), gains, ws).dtheta,
                           theta, res.dtheta)
         assert np.abs(jac - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
@@ -497,7 +512,7 @@ class TestFlowJacobian:
             assert not banded, "the banded path formed sigma I - J"
             return lambda v: np.linalg.solve(lhs, v)
 
-        factor = linearize(point, gains, res, lambda *args: curvature_at(problem, *args))
+        factor = linearize(gains, res, curv)
         v = np.random.default_rng(7).standard_normal(theta.size)
         # the stiff stepper's sigma = 1/(h gamma) at h = 0.05, 1 and 100
         for sigma in (1 / (0.05 * _ROS_GAMMA), 1 / _ROS_GAMMA, 1 / (100 * _ROS_GAMMA)):
@@ -564,5 +579,5 @@ class TestFlowJacobian:
         self.check(p, np.array([1.0, -2.0, 0.5]), gains, working=(), rank=0)
         point = evaluate(p, np.ones(3))
         res = rhs_general(point, gains, WorkingSet((), ()))
-        jac = flow_jacobian(point, gains, res, lambda *args: curvature_at(p, *args))
+        jac = flow_jacobian(gains, res, curvature_at(p, point, res.pi_e, res.pi_i, res.dtheta))
         assert np.array_equal(jac, -gains.k_theta)

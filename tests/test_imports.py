@@ -82,3 +82,28 @@ def test_no_unreferenced_private_names():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in sorted(ROOT.glob("src/nlpflow/*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def setattr_outside_post_init(source):
+    """Lines of the ``object.__setattr__`` calls outside a ``__post_init__``.
+    A frozen dataclass sets its own fields there; an attribute set anywhere
+    else is one that ``dataclasses.replace`` drops."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object" and id(node) not in inside]
+
+
+def test_scanner_finds_a_setattr_outside_post_init():
+    source = ("class A:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "def f(a):\n    object.__setattr__(a, 'y', 2)\n")
+    assert setattr_outside_post_init(source) == [5]
+
+
+def test_no_setattr_outside_post_init():
+    assert {str(p.relative_to(ROOT)): setattr_outside_post_init(p.read_text(encoding="utf-8"))
+            for p in FILES} == {str(p.relative_to(ROOT)): [] for p in FILES}

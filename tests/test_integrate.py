@@ -647,18 +647,19 @@ class TestStiffJacobian:
         fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
         bases, linearized_points = set(), []
         step = nlpflow.integrate.step_stiff
-        linearize = nlpflow.dynamics.linearize
+        curvature_at = nlpflow.integrate.curvature_at
 
         def recorded_step(rhs, y, *args, **kwargs):
             bases.add(y.tobytes())
             return step(rhs, y, *args, **kwargs)
 
-        def recorded_linearize(point, *args):
+        def recorded_curvature(problem, point, *args):
+            # each linearization makes the one curvature call at its point
             linearized_points.append(point.theta.tobytes())
-            return linearize(point, *args)
+            return curvature_at(problem, point, *args)
 
         monkeypatch.setattr(nlpflow.integrate, "step_stiff", recorded_step)
-        monkeypatch.setattr(nlpflow.dynamics, "linearize", recorded_linearize)
+        monkeypatch.setattr(nlpflow.integrate, "curvature_at", recorded_curvature)
         n = 10
         p = builtin("example2", size=n)
         gains = GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0)
@@ -704,6 +705,38 @@ class TestStiffJacobian:
         assert formed[0] == traj.jacobian_count > 0
         assert lu[0] > 0
         assert banded[0] == 0
+
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_each_settled_gram_is_factored_once(self, monkeypatch, method):
+        # the formed Jacobian solves with the Gram its settled flow factored:
+        # one pinv_gram call per rhs_general call with a row, none from flow_jacobian
+        calls = {"gram": 0, "with_rows": 0, "jacobians": 0, "grams_in_jacobians": 0}
+        pinv_gram, rhs_general = nlpflow.dynamics.pinv_gram, nlpflow.dynamics.rhs_general
+        flow_jacobian = nlpflow.dynamics.flow_jacobian
+
+        def counted_gram(*args):
+            calls["gram"] += 1
+            return pinv_gram(*args)
+
+        def counted_rhs(point, gains, ws):
+            calls["with_rows"] += point.h.size + len(ws.working) > 0
+            return rhs_general(point, gains, ws)
+
+        def counted_jacobian(*args):
+            before = calls["gram"]
+            jac = flow_jacobian(*args)
+            calls["jacobians"] += 1
+            calls["grams_in_jacobians"] += calls["gram"] - before
+            return jac
+
+        monkeypatch.setattr(nlpflow.dynamics, "pinv_gram", counted_gram)
+        monkeypatch.setattr(nlpflow.dynamics, "rhs_general", counted_rhs)
+        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", counted_jacobian)
+        traj = solve_example1(EX1_HARD_START, method)
+        assert traj.verdict == "converged"
+        assert calls["gram"] == calls["with_rows"] > 0
+        assert calls["jacobians"] == traj.jacobian_count > 0
+        assert calls["grams_in_jacobians"] == 0
 
     def test_fallback_calls_the_solved_problems_derivatives(self):
         # without a curvature oracle each Jacobian differences the derivative

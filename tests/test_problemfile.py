@@ -94,6 +94,8 @@ def test_missing_declarations():
         parse_problem("min x1\n")
     with pytest.raises(ProblemParseError, match="min"):
         parse_problem("var 1\nineq x1\n")
+    with pytest.raises(ProblemParseError, match="missing var declaration"):
+        parse_problem("# no declaration\n\n")
 
 
 def test_duplicate_declarations_rejected():
@@ -157,6 +159,14 @@ def test_serialization_is_a_fixed_point():
     assert_equivalent(parse_problem(rendered), builtin("example2", size=4), atol=1e-9)
 
 
+def test_serialization_survives_replace():
+    # the text is a declared field, so dataclasses.replace carries it
+    problem = parse_problem(chain_text(3))
+    renamed = dataclasses.replace(problem, name="renamed")
+    assert serialize_problem(renamed) == serialize_problem(problem)
+    assert_equivalent(parse_problem(serialize_problem(renamed)), problem, seed=2)
+
+
 def test_serialize_requires_parsed_problem():
     with pytest.raises(ProblemParseError):
         serialize_problem(builtin("ec-quadratic"))
@@ -179,6 +189,7 @@ REJECTED = [
     ("x1[0]", None), ("__import__('os')", None), ("lambda: 1", None), ("x1 if x1 else x1", None),
     ("(x1, x1)", None), ("sin(x1, x1)", None), ("sin(x=x1)", None), ("x1 % 2", 4),
     ("x1 @ 2", 4), ("True", 1), ("2 ^ x1", 3), ("x0", 1),
+    ("x1 × 2", 4), ("not x1", 1), ("~x1", 1),
 ]
 
 SIN1 = math.sin(1.0)

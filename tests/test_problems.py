@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlpflow import GainSet, builtin, solve
+from nlpflow import GainSet, IntegratorConfig, builtin, solve
 from nlpflow.errors import EvaluationError, InvalidInputError, UnknownProblemError
 from nlpflow.problems import (
     NlpProblem,
@@ -31,6 +31,12 @@ def test_unknown_name():
 def test_size_rejected_for_fixed_problems():
     with pytest.raises(InvalidInputError):
         builtin("example1", size=4)
+
+
+@pytest.mark.parametrize("n, r, s", [(0, 5, 2), (1, -1, 0), (1, 0, -1)])
+def test_bad_dimensions_rejected(n, r, s):
+    with pytest.raises(InvalidInputError, match="bad dimensions"):
+        dataclasses.replace(builtin("example1"), n=n, r=r, s=s)
 
 
 class TestProductTriple:
@@ -155,13 +161,36 @@ class TestDerivativeValidation:
             check_derivatives(wrong)
 
     @pytest.mark.parametrize("part,value", [
-        ("objective", np.ones(3)), ("inequalities", np.zeros(4)), ("equalities", np.zeros(3))])
+        ("objective", np.ones(3)), ("inequalities", np.zeros(4)), ("equalities", np.zeros(3)),
+        # g_jac transposed has the right number of entries, but a reshape would scramble them
+        ("derivatives", (np.ones(3), np.arange(15.0).reshape(3, 5), np.zeros((2, 3))))])
     def test_misshapen_values_are_evaluation_errors(self, part, value):
         bad = dataclasses.replace(builtin("example1"), **{part: lambda t: value})
         with pytest.raises(EvaluationError, match="entries"):
             check_derivatives(bad)
         with pytest.raises(EvaluationError, match="entries"):
             evaluate(bad, OPT1)
+
+    @pytest.mark.parametrize("oracle,output", [
+        ("derivatives", lambda p: lambda t: p.derivatives(t)[:2]),
+        ("derivatives", lambda p: lambda t: None),
+        ("curvature", lambda p: lambda *args: p.curvature(*args)[:2])])
+    def test_wrong_number_of_oracle_parts_is_an_evaluation_error_verdict(self, oracle, output):
+        p = builtin("example1")
+        bad = dataclasses.replace(p, **{oracle: output(p)})
+        traj = solve(bad, OPT1 + 0.1, GainSet.uniform(3, 2, 5),
+                     integrator=IntegratorConfig(method="stiff"))
+        assert traj.verdict == "error:EvaluationError"
+        assert traj.error.component == oracle
+
+    def test_unit_axes_are_reshaped(self):
+        # an (n, 1) gradient and a 1-element objective move no entry
+        p = builtin("example1")
+        loose = dataclasses.replace(
+            p, objective=lambda t: np.array([p.objective(t)]),
+            derivatives=lambda t: (lambda d: (d[0][:, None], d[1], d[2]))(p.derivatives(t)))
+        a, b = evaluate(loose, OPT1 + 0.1), evaluate(p, OPT1 + 0.1)
+        assert a.f == b.f and np.array_equal(a.f_grad, b.f_grad)
 
     def test_non_numeric_objective_is_an_evaluation_error_verdict(self):
         bad = dataclasses.replace(builtin("example1"), objective=lambda t: "x")
