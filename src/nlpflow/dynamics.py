@@ -163,8 +163,8 @@ class WorkingSet:
 @dataclass(frozen=True)
 class RhsResult:
     """Flow direction with its multipliers and working-set diagnostics, and
-    the system it solved for them: ``rows``, the stacked rows H, and ``gram``,
-    ``pinv_gram``'s solve b -> (H K H^T)+ b, None when H has no row."""
+    the system it solved for them: ``rows``, the stacked rows H, and
+    ``basis``, ``pinv_gram``'s range basis of H K H^T (None at full rank)."""
 
     dtheta: np.ndarray
     pi_e: np.ndarray
@@ -172,7 +172,7 @@ class RhsResult:
     working_set: WorkingSet
     stacked_jacobian_rank: int
     rows: np.ndarray
-    gram: callable
+    basis: np.ndarray
 
 
 def classify(point, pts=None, warm=()):
@@ -202,11 +202,11 @@ def rhs_general(point, gains, ws):
     hbar = np.concatenate([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
     kt = gains._k_theta
-    gram, rank, pi, grad_lag = None, 0, np.zeros(0), point.f_grad
+    rank, basis, pi, grad_lag = 0, None, np.zeros(0), point.f_grad
     if m:
         targets = np.concatenate([_gain_times(gains._k_h, point.h),
                                   gains.k_g[working] * point.g[working]])
-        gram, rank = pinv_gram(hbar, kt)
+        gram, rank, basis = pinv_gram(hbar, kt)
         pi = -gram(times_gain(hbar, kt) @ point.f_grad - targets)
         grad_lag = point.f_grad + hbar.T @ pi
     dtheta = -_gain_times(kt, grad_lag)
@@ -219,98 +219,82 @@ def rhs_general(point, gains, ws):
     pi_i = np.zeros(point.g.size)
     pi_i[working] = pi[s:]
     return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i, working_set=ws,
-                     stacked_jacobian_rank=rank, rows=hbar, gram=gram)
-
-
-def flow_jacobian(gains, res, curv):
-    """Jacobian of the flow at an evaluated point, on the smooth piece of the
-    working set ``res`` settled there.
-
-    With H = ``res.rows``, the equality and working rows, K the direction
-    gain, G = H K H^T and T = blkdiag(K_h, diag k_g[working]):
-
-        J = -K W + K H^T G+ (H K W - T H - M),
-
-    where ``curv``, ``curvature_at``'s (W, G_v, H_v) at the multipliers of
-    ``res`` and v = theta', gives W, the Hessian of the Lagrangian, and the
-    rows of M, (grad^2 c_j theta')^T over the rows of H.  ``res.gram`` solves
-    with the matrix right-hand side; -K W when no row is working.
-    """
-    w, g_v, h_v = curv
-    kw = _gain_times(gains._k_theta, w)
-    if res.gram is None:
-        return -kw
-    hbar, s = res.rows, res.pi_e.size
-    working = list(res.working_set.working)
-    t_hbar = np.concatenate([_gain_times(gains._k_h, hbar[:s]),
-                             gains.k_g[working, None] * hbar[s:]])
-    m_rows = np.concatenate([h_v, g_v[working]])
-    return times_gain(hbar, gains._k_theta).T @ res.gram(hbar @ kw - t_hbar - m_rows) - kw
+                     stacked_jacobian_rank=rank, rows=hbar, basis=basis)
 
 
 def linearize(gains, res, curv):
-    """The flow's linearization from a settled flow ``res`` and ``curv`` as in
-    ``flow_jacobian``: ``factor(sigma, dense)`` returns the solve
-    v -> (sigma I - J)^-1 v for the Jacobian J of ``flow_jacobian``.
+    """The flow's linearization at an evaluated point, on the smooth piece of
+    the working set ``res`` settled there: ``factor(sigma, dense)`` is the
+    solve v -> (sigma I - J)^-1 v for the flow's Jacobian J.
 
-    With diagonal gains and m > 0 stacked rows H of full row rank, the solve
-    is that of the saddle-point system (Benzi, Golub & Liesen 2005), with
-    y = G^-1 (H K W - T H - M) delta,
+    ``curv``, ``curvature_at``'s (W, G_v, H_v) at ``res``, gives W, the
+    Lagrangian's Hessian, and M, the rows of H_v and G_v[working].  With the
+    gain K, T = blkdiag(K_h, diag k_g[working]) and R = L^T H for the stacked
+    rows H = ``res.rows`` and the Gram's range basis L (``res.basis``; R = H
+    at full rank), G+ = L (R K R^T)^-1 L^T, so J = -K W + K R^T Y with
+    Y = (R K R^T)^-1 (R K W - L^T (T H + M)), and the solve is that of the
+    saddle-point system (Benzi, Golub & Liesen 2005), y = Y delta:
 
-        [ sigma I + K W       -K H^T ] [delta]   [ v ]
-        [ sigma H + T H + M     0    ] [  y  ] = [H v],
+        [ sigma I + K W               -K R^T ] [delta]   [ v ]
+        [ sigma R + L^T (T H + M)       0    ] [  y  ] = [R v].
 
-    packed once from its nonzeros, theta_j ordered by j and each multiplier
-    row by its first nonzero column (``first_columns``).  Each sigma adds
-    sigma [I; H], scales rows, then columns, to max-abs 1 and calls
-    ``banded_lu``.  Otherwise (no row, rank-deficient H, a band not under a
-    quarter of n + m, or no certified LU) it is ``dense(sigma I - J)``.
+    Its coordinates are assembled once; each sigma adds sigma [I; R] and
+    scales rows, then columns, to max-abs 1.  With diagonal gains and m > 0
+    full-rank rows they are the nonzeros, and a band under a quarter of n + m
+    (rows of R placed by ``first_columns``) is factored by ``banded_lu``;
+    else, or with no certified LU, ``dense`` factors the formed system.
     """
-    n = res.dtheta.size
-    kt, kh = gains._k_theta, gains._k_h
-    working = list(res.working_set.working)
-    hbar = res.rows
-    size = n + hbar.shape[0]
-    band = jac = None
-    if size > n and res.stacked_jacobian_rank == size - n and kt.ndim == kh.ndim == 1:
-        m_rows = np.concatenate([curv[2], curv[1][working]])
-        on = curv[0] != 0
-        np.fill_diagonal(on, True)
-        # flat indices: flatnonzero is ten times faster than a 2-D nonzero
-        w_at, h_at = np.flatnonzero(on), np.flatnonzero((hbar != 0) | (m_rows != 0))
-        (wi, wj), (hk, hj) = divmod(w_at, n), divmod(h_at, n)
-        h = hbar.ravel()[h_at]
-        rows, cols = np.concatenate([wi, hj, n + hk]), np.concatenate([wj, n + hk, hj])
-        const = np.concatenate([kt[wi] * curv[0].ravel()[w_at], -kt[hj] * h,
-                                np.concatenate([kh, gains.k_g[working]])[hk] * h
-                                + m_rows.ravel()[h_at]])
-        slope = np.concatenate([wi == wj, 0.0 * h, h])
-        order = np.argsort(np.concatenate([np.arange(n), first_columns(hbar)]), kind="stable")
+    n, s = res.dtheta.size, res.pi_e.size
+    kt, kh, working = gains._k_theta, gains._k_h, list(res.working_set.working)
+    w, g_v, h_v = curv
+    rows, m_rows = res.rows, np.concatenate([h_v, g_v[working]])
+    banded = res.basis is None and kt.ndim == kh.ndim == 1 and rows.size > 0
+    if banded:   # K and T scale the nonzeros of W and H
+        kd, kr, decay = kt, rows, np.concatenate([kh, gains.k_g[working]])
+        on_h = (rows != 0) | (m_rows != 0)
+    else:   # K W, R K and L^T (T H + M) formed
+        m_rows += np.concatenate([_gain_times(kh, rows[:s]), gains.k_g[working, None] * rows[s:]])
+        if res.basis is not None:
+            rows, m_rows = res.basis.T @ rows, res.basis.T @ m_rows
+        kd, w, kr, decay = np.ones(n), _gain_times(kt, w), times_gain(rows, kt), np.zeros(len(rows))
+        on_h = (rows != 0) | (m_rows != 0) | (kr != 0)
+    on = w != 0
+    np.fill_diagonal(on, True)
+    size = n + rows.shape[0]
+    # flat indices: flatnonzero is ten times faster than a 2-D nonzero
+    w_at, h_at = np.flatnonzero(on), np.flatnonzero(on_h)
+    (wi, wj), (hk, hj) = divmod(w_at, n), divmod(h_at, n)
+    h = rows.ravel()[h_at]
+    at_rows, at_cols = np.concatenate([wi, hj, n + hk]), np.concatenate([wj, n + hk, hj])
+    const = np.concatenate([kd[wi] * w.ravel()[w_at], -kd[hj] * kr.ravel()[h_at],
+                            decay[hk] * h + m_rows.ravel()[h_at]])
+    slope = np.concatenate([wi == wj, 0.0 * h, h])
+    if banded:
+        order = np.argsort(np.concatenate([np.arange(n), first_columns(rows)]), kind="stable")
         pos = np.argsort(order)
-        offset = pos[rows] - pos[cols]
+        offset = pos[at_rows] - pos[at_cols]
         kl, ku = int(offset.max()), int(-offset.min())
-        if 4 * max(kl, ku) < size:
-            band = (kl + ku + offset) * size + pos[cols]
+        banded = 4 * max(kl, ku) < size
+        band = (kl + ku + offset) * size + pos[at_cols]
 
     def factor(sigma, dense):
-        nonlocal jac
-        if band is not None:
-            vals = const + sigma * slope
-            # a zero row or column keeps its zeros, and dgbtrf then fails
-            row_max = np.full(size, _TINY)
-            np.maximum.at(row_max, rows, np.abs(vals))
-            ab = np.zeros((2 * kl + ku + 1, size))
-            ab.flat[band] = vals / row_max[rows]
-            col_max = np.abs(ab).max(axis=0, initial=_TINY)
-            ab /= col_max
-            solve = banded_lu(ab, kl, ku, order)
-            if solve is not None:
-                col_max = col_max[pos[:n]]
-                return lambda v: solve(np.concatenate([v, hbar @ v]) / row_max)[:n] / col_max
-        if jac is None:
-            jac = flow_jacobian(gains, res, curv)
-        return dense(np.eye(n) * sigma - jac)
+        vals = const + sigma * slope
+        # a zero row or column keeps its zeros, and dgbtrf then fails
+        row_max, col_max = np.full(size, _TINY), np.full(size, _TINY)
+        np.maximum.at(row_max, at_rows, np.abs(vals))
+        vals /= row_max[at_rows]
+        np.maximum.at(col_max, at_cols, np.abs(vals))
+        vals /= col_max[at_cols]
+        solve = banded and banded_lu(_scatter((2 * kl + ku + 1, size), band, vals), kl, ku, order)
+        solve = solve or dense(_scatter((size, size), at_rows * size + at_cols, vals))
+        return lambda v: solve(np.concatenate([v, rows @ v]) / row_max)[:n] / col_max[:n]
     return factor
+
+
+def _scatter(shape, at, vals):
+    a = np.zeros(shape)
+    a.flat[at] = vals
+    return a
 
 
 def resolve_working_set(point, gains, candidate):

@@ -5,9 +5,8 @@ alone sets their step size: an explicit Dormand-Prince 5(4) pair under PI
 control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
 (RODAS-type tableau, Hairer & Wanner) for stiff ones.  The Rosenbrock
 stepper takes a factor, sigma -> the solve v -> (sigma I - J)^-1 v.
-``solve`` builds it from the exact flow linearization on the working set
-settled at each base point (``dynamics.linearize``: a certified banded
-saddle-point LU, or the formed ``dynamics.flow_jacobian``); on a plain
+``solve`` builds it from the flow's saddle-point linearization on the
+working set settled at each base point (``dynamics.linearize``); on a plain
 right-hand side ``integrate_ode`` factors forward differences
 (``fd_jacobian``).  Once the working set has settled, ``solve`` leaves the
 integration for a pseudo-transient Newton endgame on the same linearization.
@@ -330,12 +329,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     lies on it bitwise (Dormand-Prince), and ``flow`` returns that stage's
     result for the same point, schedule and warm start, so each accepted
     point is evaluated and settled once (settled again if the schedule
-    advanced there).  The stiff linearization at a base point is
+    advanced there).  The linearization at a base point is
     ``dynamics.linearize`` of the snapshot's settled flow and curvature,
-    made once even when an endgame iteration from there falls back; the
-    stepper factors it with ``lu_factor`` and the endgame with
-    ``np.linalg.solve`` when it has no band (so rk45 solves on formed
-    Jacobians load no scipy).
+    made once even when an endgame iteration from there falls back; a
+    system with no band is factored by ``lu_factor`` in the stepper and by
+    ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
 
     Endgame (never under ``fixed_horizon``): once all priority groups are
     enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
@@ -344,7 +342,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     accepted step by max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's
     method on F = 0 in the limit).  theta + delta is a snapshot, at the
     endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
-    else the integration resumes from the last snapshot.
+    else, or if the solve or trial point fails, the integration resumes from
+    the last snapshot (an oracle error at its linearization is fatal).
 
     Raises InvalidInputError when theta0 is not a finite vector of n numbers,
     the gain shapes do not fit the problem, or the priority groups are not
@@ -429,9 +428,9 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                        - ode.accepted - ode.rejected):
             point, res = base
             f_norm, new_norm = float(np.linalg.norm(res.dtheta)), math.inf
+            factor = linearization()   # outside the try: an oracle error here is fatal
             try:
-                solve = linearization()(1 / h, lambda lhs: partial(np.linalg.solve, lhs))
-                delta = solve(res.dtheta)
+                delta = factor(1 / h, lambda lhs: partial(np.linalg.solve, lhs))(res.dtheta)
                 if delta @ res.dtheta > 0:   # else I/h - J is indefinite: no stable equilibrium
                     new = evaluate_at(point.theta + delta)
                     trial = flow(new)

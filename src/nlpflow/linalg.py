@@ -14,7 +14,7 @@ of H K^(1/2) below sqrt(m * eps) * sigma_max.
   Its certified LU, ``banded_lu``, also solves the flow's saddle-point
   systems (``dynamics.linearize``).
 - Cholesky (``dpotrf``): from ``_CHOLESKY_MIN_ROWS`` rows up.
-- ``eigh``: forms G+ and sets the rank.
+- ``eigh``: forms G+, sets the rank and keeps the range's eigenbasis.
 The first two factor only when a 1-norm condition estimate certifies that
 every eigenvalue would be kept, so they return rank m; anything else falls
 through to the next.  Grams under ``_CHOLESKY_MIN_ROWS`` rows go straight to
@@ -55,7 +55,7 @@ def times_gain(a, k):
 
 
 def pinv_gram(rows, gain):
-    """``(solve, rank)``, ``solve(b) = G+ b``, for G = H K H^T of stacked rows
+    """``pinv_psd``'s ``(solve, rank, basis)`` for G = H K H^T of stacked rows
     H (m x n) and a positive-definite gain K, n x n or its diagonal if diagonal.
 
     Tries the banded LU first (see the module docstring), then forms G and
@@ -65,7 +65,7 @@ def pinv_gram(rows, gain):
     if m >= _BAND_MIN_ROWS and gain.ndim == 1:
         solve = _banded_solve(rows, gain)
         if solve is not None:
-            return solve, m
+            return solve, m, None
     return pinv_psd(times_gain(rows, gain) @ rows.T)
 
 
@@ -122,11 +122,12 @@ def banded_lu(ab, kl, ku, order):
 
 
 def pinv_psd(g):
-    """``(solve, rank)``, ``solve(b) = G+ b``, for a formed symmetric PSD G.
+    """``(solve, rank, basis)``, ``solve(b) = G+ b``, for a formed symmetric PSD G.
 
     From ``_CHOLESKY_MIN_ROWS`` rows up, Cholesky solves when dpocon's
     reciprocal 1-norm condition estimate is certified (``_certified``).
-    Otherwise ``eigh`` forms G+ and sets the rank.
+    Otherwise ``eigh`` sets the rank and forms G+ = L diag(lambda)^-1 L^T from
+    the kept eigenpairs; ``basis`` is L below full rank, else None.
     """
     if not np.isfinite(g).all():
         raise InvalidInputError("gram matrix contains non-finite entries")
@@ -138,7 +139,7 @@ def pinv_psd(g):
         if info == 0:
             rcond, _ = dpocon(chol, np.abs(a).sum(axis=0).max())
             if _certified(rcond, m):
-                return (lambda b: dpotrs(chol, b)[0]), m
+                return (lambda b: dpotrs(chol, b)[0]), m, None
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -148,4 +149,4 @@ def pinv_psd(g):
     if rank < m:
         q, w = q[:, keep], w[keep]
     pinv = (q / w) @ q.T
-    return (lambda b: pinv @ b), rank
+    return (lambda b: pinv @ b), rank, q if rank < m else None

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,9 @@ def sweep_starts(count):
     return [rng.uniform(-10.0, 10.0, 3) for _ in range(count)]
 
 
-def solve_example1(theta0, method="rk45", fixed_horizon=False):
-    return solve(builtin("example1"), np.asarray(theta0, dtype=float), GainSet.uniform(3, 2, 5),
+def solve_example1(theta0, method="rk45", fixed_horizon=False, problem=None):
+    problem = builtin("example1") if problem is None else problem
+    return solve(problem, np.asarray(theta0, dtype=float), GainSet.uniform(3, 2, 5),
                  integrator=IntegratorConfig(method=method, t_end=300.0,
                                              fixed_horizon=fixed_horizon),
                  pts_groups=[(0, 1, 2), (3, 4)])
@@ -642,6 +644,32 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def record_linearizations(monkeypatch, calls):
+    """Wraps ``dynamics.linearize`` to count in ``calls`` its calls, the dense
+    systems its factors form and the ``calls["gram"]`` counts made while it
+    or one of its factors runs."""
+    calls.update(linearize=0, dense=0, grams_in_linearizations=0, gram=calls.get("gram", 0))
+    linearize = nlpflow.dynamics.linearize
+
+    def counting_grams(fn, *args):
+        before = calls["gram"]
+        out = fn(*args)
+        calls["grams_in_linearizations"] += calls["gram"] - before
+        return out
+
+    def counted_dense(dense, lhs):
+        calls["dense"] += 1
+        return dense(lhs)
+
+    def recorded(*args):
+        calls["linearize"] += 1
+        factor = counting_grams(linearize, *args)
+        return lambda sigma, dense: counting_grams(factor, sigma, partial(counted_dense, dense))
+
+    monkeypatch.setattr(nlpflow.dynamics, "linearize", recorded)
+    return calls
+
+
 class TestStiffJacobian:
     def test_one_flow_jacobian_per_base_point(self, monkeypatch):
         fd = count_calls(monkeypatch, nlpflow.integrate, "fd_jacobian")
@@ -682,8 +710,8 @@ class TestStiffJacobian:
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_chain_factors_on_the_band(self, monkeypatch, n):
         # every stage and endgame system of a standard start is a certified
-        # banded saddle-point solve: no flow Jacobian is formed or factored
-        formed = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        # banded saddle-point solve: no system is formed densely or factored
+        calls = record_linearizations(monkeypatch, {})
         lu = count_calls(monkeypatch, nlpflow.integrate, "lu_factor")
         banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
         theta0 = np.random.default_rng(1).uniform(0.7, 1.2, n)
@@ -692,27 +720,27 @@ class TestStiffJacobian:
         traj = solve(builtin("example2", size=n), theta0, gains,
                      integrator=IntegratorConfig(method="stiff", t_end=100.0))
         assert traj.verdict == "converged"
-        assert (formed[0], lu[0]) == (0, 0)
+        assert (calls["dense"], lu[0]) == (0, 0)
         assert banded[0] >= traj.jacobian_count > 0
 
-    def test_example1_factors_the_formed_jacobian(self, monkeypatch):
+    def test_example1_solves_the_saddle_system_densely(self, monkeypatch):
         # the duplicated equality leaves H rank-deficient: no saddle-point band
-        formed = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        calls = record_linearizations(monkeypatch, {})
         lu = count_calls(monkeypatch, nlpflow.integrate, "lu_factor")
         banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
         traj = solve_example1(EX1_HARD_START, "stiff")
         assert traj.verdict == "converged"
-        assert formed[0] == traj.jacobian_count > 0
+        assert calls["linearize"] == traj.jacobian_count > 0
         assert lu[0] > 0
         assert banded[0] == 0
 
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
     def test_each_settled_gram_is_factored_once(self, monkeypatch, method):
-        # the formed Jacobian solves with the Gram its settled flow factored:
-        # one pinv_gram call per rhs_general call with a row, none from flow_jacobian
-        calls = {"gram": 0, "with_rows": 0, "jacobians": 0, "grams_in_jacobians": 0}
+        # the linearization builds on the Gram its settled flow factored: one
+        # pinv_gram call per rhs_general call with a row, none from linearize
+        # or its factors
+        calls = {"gram": 0, "with_rows": 0}
         pinv_gram, rhs_general = nlpflow.dynamics.pinv_gram, nlpflow.dynamics.rhs_general
-        flow_jacobian = nlpflow.dynamics.flow_jacobian
 
         def counted_gram(*args):
             calls["gram"] += 1
@@ -722,21 +750,14 @@ class TestStiffJacobian:
             calls["with_rows"] += point.h.size + len(ws.working) > 0
             return rhs_general(point, gains, ws)
 
-        def counted_jacobian(*args):
-            before = calls["gram"]
-            jac = flow_jacobian(*args)
-            calls["jacobians"] += 1
-            calls["grams_in_jacobians"] += calls["gram"] - before
-            return jac
-
         monkeypatch.setattr(nlpflow.dynamics, "pinv_gram", counted_gram)
         monkeypatch.setattr(nlpflow.dynamics, "rhs_general", counted_rhs)
-        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", counted_jacobian)
+        record_linearizations(monkeypatch, calls)
         traj = solve_example1(EX1_HARD_START, method)
         assert traj.verdict == "converged"
         assert calls["gram"] == calls["with_rows"] > 0
-        assert calls["jacobians"] == traj.jacobian_count > 0
-        assert calls["grams_in_jacobians"] == 0
+        assert calls["linearize"] == traj.jacobian_count > 0
+        assert calls["grams_in_linearizations"] == 0
 
     def test_fallback_calls_the_solved_problems_derivatives(self):
         # without a curvature oracle each Jacobian differences the derivative
@@ -771,7 +792,7 @@ class TestEndgame:
     def test_working_set_change_falls_back(self, monkeypatch):
         # the first endgame iterate is told its working set changed
         clean = solve_example1(EX1_HARD_START)
-        jacobians = count_calls(monkeypatch, nlpflow.dynamics, "flow_jacobian")
+        jacobians = count_calls(monkeypatch, nlpflow.dynamics, "linearize")
         resolve = nlpflow.dynamics.resolve_working_set
         changed = []
 
@@ -796,21 +817,34 @@ class TestEndgame:
 
     def test_step_against_the_flow_falls_back(self, monkeypatch):
         # J + 1e12 I makes I/h - J negative definite, so delta . F < 0
-        flow_jacobian = nlpflow.dynamics.flow_jacobian
+        linearize = nlpflow.dynamics.linearize
         calls = [0]
 
         def shifted(*args):
             calls[0] += 1
-            jac = flow_jacobian(*args)
-            return jac + 1e12 * np.eye(len(jac)) if calls[0] == 1 else jac
+            factor = linearize(*args)
+            if calls[0] > 1:
+                return factor
+            return lambda sigma, dense: factor(sigma - 1e12, dense)
 
-        monkeypatch.setattr(nlpflow.dynamics, "flow_jacobian", shifted)
+        monkeypatch.setattr(nlpflow.dynamics, "linearize", shifted)
         traj = solve_example1(EX1_HARD_START)
         assert traj.verdict == "converged"
         assert traj.endgame_fallbacks == 1
         # the discarded iteration evaluated no point
         assert traj.rhs_eval_count == (6 * error_controlled_attempts(traj)
                                        + traj.endgame_steps + traj.endgame_fallbacks)
+
+    @pytest.mark.parametrize("method", ["rk45", "stiff"])
+    def test_failing_curvature_oracle_is_fatal(self, method):
+        # the linearization at an accepted point is made outside the endgame's
+        # fallback: an oracle error there ends the solve under either stepper
+        p = builtin("example1")
+        bad = dataclasses.replace(p, curvature=lambda *args: p.curvature(*args)[:2])
+        traj = solve_example1(EX1_HARD_START, method, problem=bad)
+        assert traj.verdict == "error:EvaluationError"
+        assert "curvature" in str(traj.error)
+        assert traj.endgame_fallbacks == 0
 
     @pytest.mark.parametrize("method, theta0", [
         ("rk45", EX1_HARD_START),

@@ -67,7 +67,7 @@ class TestPinv:
 
     def test_zero_square(self):
         for m in (0, 2, 5):
-            solve, rank = pinv_psd(np.zeros((m, m)))
+            solve, rank, _ = pinv_psd(np.zeros((m, m)))
             x = solve(np.ones(m))
             assert rank == 0
             assert np.array_equal(x, np.zeros(m))
@@ -125,7 +125,7 @@ class TestPinv:
             m, k = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             a = rng.standard_normal((m, k))
             gram = a @ a.T
-            solve, rank = pinv_gram(a, np.ones(k))
+            solve, rank, _ = pinv_gram(a, np.ones(k))
             via_gram = solve(np.eye(m))
             assert np.abs(via_gram - svd_pinv(gram)).max() <= 1e-8
             assert rank == np.linalg.matrix_rank(gram)
@@ -147,13 +147,23 @@ class TestPinv:
         cutoff = rank_cutoff(gram.shape, w[-1])
         # eigenvalue solvers disagree by a few eps * lambda_max; keep clear of the cutoff
         assume(not np.any((w > cutoff / 8) & (w < 8 * cutoff)))
-        solve, rank = pinv_psd(gram)
+        solve, rank, basis = pinv_psd(gram)
         sol = solve(rhs)
         assert rank == int(np.sum(w > cutoff))
+        if rank == m:
+            assert basis is None
+        else:
+            # orthonormal eigenvectors of the kept eigenvalues: G+ = L (L^T G L)^-1 L^T
+            assert basis.shape == (m, rank)
+            assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 100 * m * EPS
         ref = svd_pinv(gram) @ rhs
         kept = w[w > cutoff]
         cond = kept[-1] / kept[0]
-        assert np.linalg.norm(sol - ref) <= 10 * m * EPS * cond * np.linalg.norm(rhs) / kept[0]
+        bound = 10 * m * EPS * cond * np.linalg.norm(rhs) / kept[0]
+        assert np.linalg.norm(sol - ref) <= bound
+        if basis is not None:
+            reduced = basis @ np.linalg.solve(basis.T @ gram @ basis, basis.T @ rhs)
+            assert np.linalg.norm(reduced - ref) <= bound
 
     def test_pinv_gram_branches(self, eigh_calls):
         """Full-rank Grams are solved by Cholesky; rank-deficient ones by eigh."""
@@ -164,7 +174,7 @@ class TestPinv:
         point = evaluate(chain, theta)
         gram = 0.1 * point.h_jac @ point.h_jac.T
         rhs = 0.1 * point.h_jac @ point.f_grad
-        solve, rank = pinv_psd(gram)
+        solve, rank, _ = pinv_psd(gram)
         sol = solve(rhs)
         assert eigh_calls[0] == 0
         assert rank == n - 1
@@ -173,7 +183,7 @@ class TestPinv:
         product = builtin("example1")
         point = evaluate(product, np.array([-4.8578, 3.8180, -2.7364]))
         gram = 0.1 * point.h_jac @ point.h_jac.T
-        solve, rank = pinv_psd(gram)
+        solve, rank, _ = pinv_psd(gram)
         sol = solve(np.array([1.0, 2.0]))
         assert eigh_calls[0] == 1
         assert rank == 1
@@ -187,7 +197,7 @@ class TestPinv:
             eigh_calls[0] = 0
             a = rng.standard_normal((m, m + 2))
             gram, rhs = a @ a.T, rng.standard_normal(m)
-            solve, rank = pinv_psd(gram)
+            solve, rank, _ = pinv_psd(gram)
             sol = solve(rhs)
             assert (rank, eigh_calls[0]) == (m, expected)
             ref = np.linalg.pinv(gram) @ rhs
@@ -199,7 +209,7 @@ class TestPinv:
         a = rng.standard_normal((6, 8))
         rhs = rng.standard_normal((6, 5))
         for gram, rank, expected in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
-            solve, got = pinv_psd(gram)
+            solve, got, _ = pinv_psd(gram)
             sol = solve(rhs)
             assert (got, eigh_calls[0]) == (rank, expected)
             ref = svd_pinv(gram) @ rhs
@@ -297,7 +307,7 @@ class TestBandedGram:
         d = rng.uniform(0.05, 3.0, n)
         for rhs in (rng.standard_normal(m), rng.standard_normal((m, 7))):
             before = dgbtrf_calls[0]
-            solve, rank = pinv_gram(rows, d)
+            solve, rank, _ = pinv_gram(rows, d)
             sol = solve(rhs)
             ref, ref_rank = gram_reference(rows, d, rhs)
             assert (rank, ref_rank, dgbtrf_calls[0] - before) == (m, m, 1)
@@ -322,7 +332,7 @@ class TestBandedGram:
         for rhs in (gram @ rng.standard_normal(rows.shape[0]),
                     gram @ rng.standard_normal((rows.shape[0], 3))):
             eigh_calls[0] = 0
-            solve, rank = pinv_gram(rows, d)
+            solve, rank, _ = pinv_gram(rows, d)
             sol = solve(rhs)
             assert eigh_calls[0] == 1
             ref, ref_rank = gram_reference(rows, d, rhs)
@@ -355,7 +365,7 @@ class TestBandedGram:
             if wide:   # a first row reaching the last column spans the whole band
                 rows[0, -1] = 1.0
             rhs = rng.standard_normal(m)
-            solve, rank = pinv_gram(rows, gain)
+            solve, rank, _ = pinv_gram(rows, gain)
             sol = solve(rhs)
             assert (rank, dgbtrf_calls[0]) == (m, expected)
             gram = rows @ np.diag(d) @ rows.T
