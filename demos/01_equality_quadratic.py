@@ -3,8 +3,8 @@
 The start [0, 0] violates the equality, so the flow first restores
 feasibility (the violation decays like exp(-k*tau)) while simultaneously
 descending; it lands on the known optimum [1, 1] with multiplier -1.
-The working set (empty here) holds from the start, so after two steps the
-Newton endgame takes over: its samples keep the tau at which it began.
+After one accepted step the Newton endgame takes over: its samples keep
+the tau at which it began.
 """
 
 import numpy as np

@@ -232,33 +232,33 @@ def linearize(gains, res, curv):
     gain K, T = blkdiag(K_h, diag k_g[working]) and R = L^T H for the stacked
     rows H = ``res.rows`` and the Gram's range basis L (``res.basis``; R = H
     at full rank), G+ = L (R K R^T)^-1 L^T, so J = -K W + K R^T Y with
-    Y = (R K R^T)^-1 (R K W - L^T (T H + M)), and the solve is that of the
-    saddle-point system (Benzi, Golub & Liesen 2005), y = Y delta:
+    Y = (R K R^T)^-1 (R K W - L^T (T H + M)).  With diagonal gains and
+    m > 0 full-rank rows the solve is that of the saddle-point system
+    (Benzi, Golub & Liesen 2005), y = Y delta:
 
-        [ sigma I + K W               -K R^T ] [delta]   [ v ]
-        [ sigma R + L^T (T H + M)       0    ] [  y  ] = [R v].
+        [ sigma I + K W        -K H^T ] [delta]   [ v ]
+        [ sigma H + T H + M      0    ] [  y  ] = [H v].
 
-    Its coordinates are assembled once; each sigma adds sigma [I; R] and
-    scales rows, then columns, to max-abs 1.  With diagonal gains and m > 0
-    full-rank rows they are the nonzeros, and a band under a quarter of n + m
-    (rows of R placed by ``first_columns``) is factored by ``banded_lu``;
-    else, or with no certified LU, ``dense`` factors the formed system.
+    Its nonzeros are found once; each sigma adds sigma [I; H] and scales
+    rows, then columns, to max-abs 1.  A band under a quarter of n + m (rows
+    of H placed by ``first_columns``) is factored by ``banded_lu``; else, or
+    with no certified LU, ``dense`` factors the formed system.  Otherwise
+    (rank-deficient rows, matrix gains or no row) J is formed, by one solve
+    with R K R^T, and ``dense`` factors sigma I - J.
     """
     n, s = res.dtheta.size, res.pi_e.size
     kt, kh, working = gains._k_theta, gains._k_h, list(res.working_set.working)
     w, g_v, h_v = curv
     rows, m_rows = res.rows, np.concatenate([h_v, g_v[working]])
-    banded = res.basis is None and kt.ndim == kh.ndim == 1 and rows.size > 0
-    if banded:   # K and T scale the nonzeros of W and H
-        kd, kr, decay = kt, rows, np.concatenate([kh, gains.k_g[working]])
-        on_h = (rows != 0) | (m_rows != 0)
-    else:   # K W, R K and L^T (T H + M) formed
+    if res.basis is not None or max(kt.ndim, kh.ndim) > 1 or rows.size == 0:   # J formed
         m_rows += np.concatenate([_gain_times(kh, rows[:s]), gains.k_g[working, None] * rows[s:]])
         if res.basis is not None:
             rows, m_rows = res.basis.T @ rows, res.basis.T @ m_rows
-        kd, w, kr, decay = np.ones(n), _gain_times(kt, w), times_gain(rows, kt), np.zeros(len(rows))
-        on_h = (rows != 0) | (m_rows != 0) | (kr != 0)
-    on = w != 0
+        kr = times_gain(rows, kt)
+        jac = kr.T @ np.linalg.solve(kr @ rows.T, kr @ w - m_rows) - _gain_times(kt, w)
+        return lambda sigma, dense: dense(sigma * np.eye(n) - jac)
+    decay = np.concatenate([kh, gains.k_g[working]])   # K and T scale the nonzeros of W and H
+    on, on_h = w != 0, (rows != 0) | (m_rows != 0)
     np.fill_diagonal(on, True)
     size = n + rows.shape[0]
     # flat indices: flatnonzero is ten times faster than a 2-D nonzero
@@ -266,16 +266,15 @@ def linearize(gains, res, curv):
     (wi, wj), (hk, hj) = divmod(w_at, n), divmod(h_at, n)
     h = rows.ravel()[h_at]
     at_rows, at_cols = np.concatenate([wi, hj, n + hk]), np.concatenate([wj, n + hk, hj])
-    const = np.concatenate([kd[wi] * w.ravel()[w_at], -kd[hj] * kr.ravel()[h_at],
+    const = np.concatenate([kt[wi] * w.ravel()[w_at], -kt[hj] * h,
                             decay[hk] * h + m_rows.ravel()[h_at]])
     slope = np.concatenate([wi == wj, 0.0 * h, h])
-    if banded:
-        order = np.argsort(np.concatenate([np.arange(n), first_columns(rows)]), kind="stable")
-        pos = np.argsort(order)
-        offset = pos[at_rows] - pos[at_cols]
-        kl, ku = int(offset.max()), int(-offset.min())
-        banded = 4 * max(kl, ku) < size
-        band = (kl + ku + offset) * size + pos[at_cols]
+    order = np.argsort(np.concatenate([np.arange(n), first_columns(rows)]), kind="stable")
+    pos = np.argsort(order)
+    offset = pos[at_rows] - pos[at_cols]
+    kl, ku = int(offset.max()), int(-offset.min())
+    banded = 4 * max(kl, ku) < size
+    band = (kl + ku + offset) * size + pos[at_cols]
 
     def factor(sigma, dense):
         vals = const + sigma * slope

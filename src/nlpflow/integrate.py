@@ -5,11 +5,11 @@ alone sets their step size: an explicit Dormand-Prince 5(4) pair under PI
 control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
 (RODAS-type tableau, Hairer & Wanner) for stiff ones.  The Rosenbrock
 stepper takes a factor, sigma -> the solve v -> (sigma I - J)^-1 v.
-``solve`` builds it from the flow's saddle-point linearization on the
-working set settled at each base point (``dynamics.linearize``); on a plain
-right-hand side ``integrate_ode`` factors forward differences
-(``fd_jacobian``).  Once the working set has settled, ``solve`` leaves the
-integration for a pseudo-transient Newton endgame on the same linearization.
+``solve`` builds it from the flow's linearization on the working set
+settled at each base point (``dynamics.linearize``); on a plain right-hand
+side ``integrate_ode`` factors forward differences (``fd_jacobian``).  With
+every priority group enabled, ``solve`` leaves each accepted step for a
+pseudo-transient Newton endgame on the same linearization.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailure
 _H_INIT = 1e-3          # first step, as a fraction of t_end
 _H_MAX = 0.1            # step-size ceiling, as a fraction of t_end
 _MAX_STEPS = 100_000    # step attempts before the verdict "error:max-steps"
-_ENDGAME_HOLD = 3       # snapshots with one working set before the endgame starts
 _ENDGAME_GROWTH = 2.0   # least growth of the endgame's h per kept iteration
 
 
@@ -336,14 +335,15 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
 
     Endgame (never under ``fixed_horizon``): once all priority groups are
-    enabled and the working set W has held for ``_ENDGAME_HOLD`` snapshots,
-    pseudo-transient continuation takes the steps delta = (I/h - J)^-1 F on
-    the last snapshot's flow F and its linearization, h growing from the last
-    accepted step by max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's
-    method on F = 0 in the limit).  theta + delta is a snapshot, at the
-    endgame's first tau, if delta . F > 0, it settles W and |F_new| < |F|;
+    enabled, each accepted step hands over to pseudo-transient continuation,
+    which takes the steps delta = (I/h - J)^-1 F on the last snapshot's flow
+    F and its linearization, h growing from the last accepted step by
+    max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's method on F = 0
+    in the limit).  theta + delta is a snapshot, at the endgame's first tau,
+    if delta . F > 0 and |F_new| < |F|, whatever working set it settles;
     else, or if the solve or trial point fails, the integration resumes from
-    the last snapshot (an oracle error at its linearization is fatal).
+    the last snapshot (an oracle error at its linearization is fatal) until
+    its next accepted step, which keeps the endgame's first h positive.
 
     Raises InvalidInputError when theta0 is not a finite vector of n numbers,
     the gain shapes do not fit the problem, or the priority groups are not
@@ -367,7 +367,6 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     base = lin = None   # the last snapshot's point and settled flow, and their linearization
     last = None   # the last point evaluated
     last_flow = (None,)   # the last settlement, after the point, schedule and warm start it used
-    held, settled = 0, None   # snapshots in a row with this working set and group count
 
     def evaluate_at(theta):
         nonlocal last
@@ -399,12 +398,10 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
 
     def snapshot(tau, point, res=None):
         """Record the accepted point; True once the verdict is final."""
-        nonlocal pts, warm, base, lin, held, settled
+        nonlocal pts, warm, base, lin
         pts = dynamics.pts_update(pts, point)
         res = flow(point) if res is None else res
         warm = res.working_set.working
-        held = held + 1 if (warm, pts.enabled) == settled else 1
-        settled = (warm, pts.enabled)
         base, lin = (point, res), None
         report = monitor.kkt_report(point, res)
         traj.samples.append(FlowState(
@@ -417,12 +414,10 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
         return traj.verdict != "continue"
 
     def endgame_ready():
-        return held >= _ENDGAME_HOLD and not config.fixed_horizon and pts.enabled >= pts.count
+        return not config.fixed_horizon and pts.enabled >= pts.count
 
     def endgame():
         """Iterate from the last snapshot until a verdict or a fallback."""
-        nonlocal held
-        # held >= _ENDGAME_HOLD: the last two snapshots are one accepted step apart
         h, tau = traj.final.tau - traj.samples[-2].tau, traj.final.tau
         for _ in range(_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks
                        - ode.accepted - ode.rejected):
@@ -437,9 +432,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                     new_norm = float(np.linalg.norm(trial.dtheta))
             except (NlpflowError, np.linalg.LinAlgError):
                 pass
-            if new_norm >= f_norm or trial.working_set.working != res.working_set.working:
+            if new_norm >= f_norm:
                 traj.endgame_fallbacks += 1
-                held = 0
                 return
             traj.endgame_steps += 1
             if snapshot(tau, new, trial):
@@ -450,12 +444,14 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
             while traj.verdict == "continue":
+                accepted = ode.accepted
                 integrate_ode(rhs, traj.final.theta, config, result=ode,
                               linearize=lambda theta: partial(linearization(), dense=lu_factor),
                               callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta))
                                                            or endgame_ready()),
                               max_steps=_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks)
-                if traj.verdict == "continue" and endgame_ready():
+                # an accepted step since the last fallback makes the endgame's first h > 0
+                if traj.verdict == "continue" and ode.accepted > accepted and endgame_ready():
                     endgame()
                 elif traj.verdict == "continue":
                     traj.verdict = ("horizon-reached" if ode.t >= config.t_end
