@@ -7,9 +7,11 @@ control for non-stiff flows and a 6-stage L-stable Rosenbrock 4(3) method
 stepper takes a factor, sigma -> the solve v -> (sigma I - J)^-1 v.
 ``solve`` builds it from the flow's linearization on the working set
 settled at each base point (``dynamics.linearize``); on a plain right-hand
-side ``integrate_ode`` factors forward differences (``fd_jacobian``).  With
-every priority group enabled, ``solve`` leaves each accepted step for a
-pseudo-transient Newton endgame on the same linearization.
+side ``integrate_ode`` factors forward differences (``fd_jacobian``).
+``solve`` leaves each accepted step for a pseudo-transient Newton endgame on
+the same linearization, whatever the priority schedule; an endgame iterate
+at which a group joins settles its flow afresh and restarts the pseudo-time
+step.
 """
 
 from __future__ import annotations
@@ -147,13 +149,16 @@ def fd_jacobian(rhs, y, f0):
 
 
 def lu_factor(a):
-    """``solve(v) = a^-1 v`` from scipy's LU of a, with scipy imported on
-    first use.  A non-finite a is a NumericFailureError."""
-    from scipy.linalg import lu_factor as factor, lu_solve
-    try:
-        return partial(lu_solve, factor(a))
-    except ValueError as exc:
-        raise NumericFailureError(f"stage matrix factorization failed: {exc}") from exc
+    """``solve(v) = a^-1 v`` from LAPACK's LU of a, with scipy imported on
+    first use.  A non-finite or exactly singular a is a NumericFailureError."""
+    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import dgetrf
+    if not np.isfinite(a).all():
+        raise NumericFailureError("stage matrix is not finite")
+    lu, piv, info = dgetrf(a)
+    if info != 0:
+        raise NumericFailureError(f"stage matrix is exactly singular (dgetrf info {info})")
+    return partial(lu_solve, (lu, piv))
 
 
 def dense_factor(jac):
@@ -334,16 +339,19 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     system with no band is factored by ``lu_factor`` in the stepper and by
     ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
 
-    Endgame (never under ``fixed_horizon``): once all priority groups are
-    enabled, each accepted step hands over to pseudo-transient continuation,
-    which takes the steps delta = (I/h - J)^-1 F on the last snapshot's flow
-    F and its linearization, h growing from the last accepted step by
+    Endgame (never under ``fixed_horizon``): each accepted step hands over
+    to pseudo-transient continuation, whatever the priority schedule, which
+    takes the steps delta = (I/h - J)^-1 F on the last snapshot's flow F and
+    its linearization, h growing from the last accepted step by
     max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's method on F = 0
     in the limit).  theta + delta is a snapshot, at the endgame's first tau,
     if delta . F > 0 and |F_new| < |F|, whatever working set it settles;
     else, or if the solve or trial point fails, the integration resumes from
     the last snapshot (an oracle error at its linearization is fatal) until
-    its next accepted step, which keeps the endgame's first h positive.
+    its next accepted step, which keeps the endgame's first h positive.  A
+    snapshot that enables a priority group settles its flow afresh under
+    the advanced schedule, and the next h is the endgame's first again,
+    because the flow has changed.
 
     Raises InvalidInputError when theta0 is not a finite vector of n numbers,
     the gain shapes do not fit the problem, or the priority groups are not
@@ -396,11 +404,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                                                               res.pi_i, res.dtheta))
         return lin
 
-    def snapshot(tau, point, res=None):
+    def snapshot(tau, point):
         """Record the accepted point; True once the verdict is final."""
         nonlocal pts, warm, base, lin
         pts = dynamics.pts_update(pts, point)
-        res = flow(point) if res is None else res
+        res = flow(point)
         warm = res.working_set.working
         base, lin = (point, res), None
         report = monitor.kkt_report(point, res)
@@ -413,12 +421,10 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
             traj.verdict = "converged"
         return traj.verdict != "continue"
 
-    def endgame_ready():
-        return not config.fixed_horizon and pts.enabled >= pts.count
-
     def endgame():
         """Iterate from the last snapshot until a verdict or a fallback."""
-        h, tau = traj.final.tau - traj.samples[-2].tau, traj.final.tau
+        h0 = h = traj.final.tau - traj.samples[-2].tau
+        tau = traj.final.tau
         for _ in range(_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks
                        - ode.accepted - ode.rejected):
             point, res = base
@@ -428,17 +434,19 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                 delta = factor(1 / h, lambda lhs: partial(np.linalg.solve, lhs))(res.dtheta)
                 if delta @ res.dtheta > 0:   # else I/h - J is indefinite: no stable equilibrium
                     new = evaluate_at(point.theta + delta)
-                    trial = flow(new)
-                    new_norm = float(np.linalg.norm(trial.dtheta))
+                    new_norm = float(np.linalg.norm(flow(new).dtheta))
             except (NlpflowError, np.linalg.LinAlgError):
                 pass
             if new_norm >= f_norm:
                 traj.endgame_fallbacks += 1
                 return
             traj.endgame_steps += 1
-            if snapshot(tau, new, trial):
+            enabled = pts.enabled
+            if snapshot(tau, new):   # settles afresh if a group joined there
                 return
-            h *= max(_ENDGAME_GROWTH, f_norm / new_norm if new_norm else math.inf)
+            # a joining group changes the flow: restart h at the entry's
+            h = h0 if pts.enabled > enabled else h * max(
+                _ENDGAME_GROWTH, f_norm / new_norm if new_norm else math.inf)
         traj.verdict = "error:max-steps"
 
     try:
@@ -448,10 +456,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                 integrate_ode(rhs, traj.final.theta, config, result=ode,
                               linearize=lambda theta: partial(linearization(), dense=lu_factor),
                               callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta))
-                                                           or endgame_ready()),
+                                                           or not config.fixed_horizon),
                               max_steps=_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks)
                 # an accepted step since the last fallback makes the endgame's first h > 0
-                if traj.verdict == "continue" and ode.accepted > accepted and endgame_ready():
+                if (traj.verdict == "continue" and ode.accepted > accepted
+                        and not config.fixed_horizon):
                     endgame()
                 elif traj.verdict == "continue":
                     traj.verdict = ("horizon-reached" if ode.t >= config.t_end
