@@ -164,7 +164,7 @@ class WorkingSet:
 class RhsResult:
     """Flow direction with its multipliers and working-set diagnostics, and
     the system it solved for them: ``rows``, the stacked rows H, and
-    ``basis``, ``pinv_gram``'s range basis of H K H^T (None at full rank)."""
+    ``gram``, ``pinv_gram``'s solve b -> (H K H^T)+ b (None with no row)."""
 
     dtheta: np.ndarray
     pi_e: np.ndarray
@@ -172,7 +172,7 @@ class RhsResult:
     working_set: WorkingSet
     stacked_jacobian_rank: int
     rows: np.ndarray
-    basis: np.ndarray
+    gram: object
 
 
 def classify(point, pts=None, warm=()):
@@ -202,12 +202,12 @@ def rhs_general(point, gains, ws):
     hbar = np.concatenate([point.h_jac, point.g_jac[working]])
     m = hbar.shape[0]
     kt = gains._k_theta
-    rank, basis, pi, grad_lag = 0, None, np.zeros(0), point.f_grad
+    rank, gram, pi, grad_lag = 0, None, np.zeros(0), point.f_grad
     if m:
         targets = np.concatenate([_gain_times(gains._k_h, point.h),
                                   gains.k_g[working] * point.g[working]])
-        gram, rank, basis = pinv_gram(hbar, kt)
-        pi = -gram(times_gain(hbar, kt) @ point.f_grad - targets)
+        gram, rank = pinv_gram(hbar, kt)
+        pi = -gram(hbar @ _gain_times(kt, point.f_grad) - targets)
         grad_lag = point.f_grad + hbar.T @ pi
     dtheta = -_gain_times(kt, grad_lag)
     if not (np.isfinite(dtheta).all() and np.isfinite(pi).all()):
@@ -219,7 +219,7 @@ def rhs_general(point, gains, ws):
     pi_i = np.zeros(point.g.size)
     pi_i[working] = pi[s:]
     return RhsResult(dtheta=dtheta, pi_e=pi[:s], pi_i=pi_i, working_set=ws,
-                     stacked_jacobian_rank=rank, rows=hbar, basis=basis)
+                     stacked_jacobian_rank=rank, rows=hbar, gram=gram)
 
 
 def linearize(gains, res, curv):
@@ -229,12 +229,11 @@ def linearize(gains, res, curv):
 
     ``curv``, ``curvature_at``'s (W, G_v, H_v) at ``res``, gives W, the
     Lagrangian's Hessian, and M, the rows of H_v and G_v[working].  With the
-    gain K, T = blkdiag(K_h, diag k_g[working]) and R = L^T H for the stacked
-    rows H = ``res.rows`` and the Gram's range basis L (``res.basis``; R = H
-    at full rank), G+ = L (R K R^T)^-1 L^T, so J = -K W + K R^T Y with
-    Y = (R K R^T)^-1 (R K W - L^T (T H + M)).  With diagonal gains and
-    m > 0 full-rank rows the solve is that of the saddle-point system
-    (Benzi, Golub & Liesen 2005), y = Y delta:
+    gain K, T = blkdiag(K_h, diag k_g[working]), the stacked rows
+    H = ``res.rows`` and G+ = ``res.gram``, the pseudo-inverse of
+    G = H K H^T, J = -K W + K H^T Y with Y = G+ (H K W - T H - M).  With
+    diagonal gains and m > 0 full-rank rows the solve is that of the
+    saddle-point system (Benzi, Golub & Liesen 2005), y = Y delta:
 
         [ sigma I + K W        -K H^T ] [delta]   [ v ]
         [ sigma H + T H + M      0    ] [  y  ] = [H v].
@@ -243,19 +242,17 @@ def linearize(gains, res, curv):
     rows, then columns, to max-abs 1.  A band under a quarter of n + m (rows
     of H placed by ``first_columns``) is factored by ``banded_lu``; else, or
     with no certified LU, ``dense`` factors the formed system.  Otherwise
-    (rank-deficient rows, matrix gains or no row) J is formed, by one solve
-    with R K R^T, and ``dense`` factors sigma I - J.
+    (rank-deficient rows, matrix gains or no row) J is formed, by one
+    ``res.gram`` solve, and ``dense`` factors sigma I - J.
     """
     n, s = res.dtheta.size, res.pi_e.size
     kt, kh, working = gains._k_theta, gains._k_h, list(res.working_set.working)
     w, g_v, h_v = curv
     rows, m_rows = res.rows, np.concatenate([h_v, g_v[working]])
-    if res.basis is not None or max(kt.ndim, kh.ndim) > 1 or rows.size == 0:   # J formed
+    if res.stacked_jacobian_rank < len(rows) or max(kt.ndim, kh.ndim) > 1 or not len(rows):
         m_rows += np.concatenate([_gain_times(kh, rows[:s]), gains.k_g[working, None] * rows[s:]])
-        if res.basis is not None:
-            rows, m_rows = res.basis.T @ rows, res.basis.T @ m_rows
-        kr = times_gain(rows, kt)
-        jac = kr.T @ np.linalg.solve(kr @ rows.T, kr @ w - m_rows) - _gain_times(kt, w)
+        kr = times_gain(rows, kt)   # J formed, by one Gram solve
+        jac = (kr.T @ res.gram(kr @ w - m_rows) if len(rows) else 0.0) - _gain_times(kt, w)
         return lambda sigma, dense: dense(sigma * np.eye(n) - jac)
     decay = np.concatenate([kh, gains.k_g[working]])   # K and T scale the nonzeros of W and H
     on, on_h = w != 0, (rows != 0) | (m_rows != 0)

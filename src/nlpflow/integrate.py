@@ -8,10 +8,10 @@ stepper takes a factor, sigma -> the solve v -> (sigma I - J)^-1 v.
 ``solve`` builds it from the flow's linearization on the working set
 settled at each base point (``dynamics.linearize``); on a plain right-hand
 side ``integrate_ode`` factors forward differences (``fd_jacobian``).
-``solve`` leaves each accepted step for a pseudo-transient Newton endgame on
-the same linearization, whatever the priority schedule; an endgame iterate
-at which a group joins settles its flow afresh and restarts the pseudo-time
-step.
+``solve`` integrates once, and after each accepted step its callback runs a
+pseudo-transient Newton endgame on the same linearization until a verdict or
+a fallback to the last snapshot; an endgame iterate at which a group joins
+settles its flow afresh and restarts the pseudo-time step.
 """
 
 from __future__ import annotations
@@ -195,14 +195,13 @@ def step_stiff(rhs, y, h, rel_tol, abs_tol, factor, f0):
 class OdeResult:
     y: np.ndarray = None
     t: float = 0.0
-    h_next: float = None     # the next step size; when set, integrate_ode resumes with it
+    attempts: int = 0        # step attempts, with those the callback counts in
     accepted: int = 0
     rejected: int = 0        # including trial_rejections
     trial_rejections: int = 0
 
 
-def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None,
-                  max_steps=_MAX_STEPS):
+def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None):
     """Drive a stepper from 0 to t_end with accept/reject step control.
 
     An attempt with error norm e <= 1 is accepted and scales h by the PI
@@ -217,20 +216,21 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None,
     attempt from it.  So is the stiff stepper's factor (see ``step_stiff``):
     ``linearize(y)`` when given, else ``dense_factor`` of
     ``fd_jacobian(rhs, y, f0)``.
-    ``callback(t, y)`` runs after each accepted step; returning True
-    stops the integration early.  Progress is kept in ``result`` (a new
-    OdeResult when None), so a caller passing its own still reads the step
-    counts when a step raises; passed back with y0 its last y, it resumes at
-    its t and h_next, up to ``max_steps`` attempts in all.
+    ``callback(t, y)`` runs after each accepted step and may move
+    ``result.y``, the next step's start; returning True stops the
+    integration.  Progress is kept in ``result`` (a new OdeResult when
+    None), so a caller passing its own still reads the step counts when a
+    step raises; ``result.attempts``, which the callback may add to, ends
+    the integration at ``_MAX_STEPS``.
     """
     res = OdeResult() if result is None else result
     res.y = np.asarray(y0, dtype=float).copy()
-    h = _H_INIT * config.t_end if res.h_next is None else res.h_next
+    h = _H_INIT * config.t_end
     stiff = config.method == "stiff"
     order_exponent, beta = (1 / 4, 0.0) if stiff else (1 / 5, _PI_BETA)
     err_prev, fac_max = _ERR_PREV_MIN, _FAC_MAX
     f0 = None
-    while res.t < config.t_end and res.accepted + res.rejected < max_steps:
+    while res.t < config.t_end and res.attempts < _MAX_STEPS:
         h = min(h, config.t_end - res.t)
         if f0 is None:
             f0 = rhs(res.y)
@@ -238,6 +238,7 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None,
                 shifted = (dense_factor(fd_jacobian(rhs, res.y, f0)) if linearize is None
                            else linearize(res.y))
         stepper = partial(step_stiff, factor=shifted) if stiff else step_rk45
+        res.attempts += 1
         try:
             y_new, err_norm = stepper(rhs, res.y, h, config.rel_tol, config.abs_tol, f0=f0)
         except NlpflowError:
@@ -250,13 +251,13 @@ def integrate_ode(rhs, y0, config, callback=None, result=None, linearize=None,
             res.accepted += 1
             f0 = None
             err_prev, fac_max = max(err_norm, _ERR_PREV_MIN), _FAC_MAX
-            res.h_next = h = min(max(h * factor, _H_MIN), _H_MAX * config.t_end)
+            h = min(max(h * factor, _H_MIN), _H_MAX * config.t_end)
             if callback is not None and callback(res.t, res.y):
                 break
         else:
             res.rejected += 1
             fac_max = 1.0   # no growth on the step after a rejection
-            res.h_next = h = h * factor
+            h *= factor
             if h < _H_MIN:
                 hint = "; the flow may be stiff, try method='stiff'" if not stiff else ""
                 raise StepFailureError(
@@ -339,19 +340,19 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     system with no band is factored by ``lu_factor`` in the stepper and by
     ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
 
-    Endgame (never under ``fixed_horizon``): each accepted step hands over
-    to pseudo-transient continuation, whatever the priority schedule, which
+    Endgame (never under ``fixed_horizon``): the one ``integrate_ode``
+    run's callback snapshots each accepted step and hands over to
+    pseudo-transient continuation, whatever the priority schedule, which
     takes the steps delta = (I/h - J)^-1 F on the last snapshot's flow F and
-    its linearization, h growing from the last accepted step by
+    its linearization, h growing from the accepted step's by
     max(_ENDGAME_GROWTH, |F| / |F_new|) per step (Newton's method on F = 0
     in the limit).  theta + delta is a snapshot, at the endgame's first tau,
     if delta . F > 0 and |F_new| < |F|, whatever working set it settles;
-    else, or if the solve or trial point fails, the integration resumes from
-    the last snapshot (an oracle error at its linearization is fatal) until
-    its next accepted step, which keeps the endgame's first h positive.  A
-    snapshot that enables a priority group settles its flow afresh under
-    the advanced schedule, and the next h is the endgame's first again,
-    because the flow has changed.
+    else, or if the solve or trial point fails, the integration goes on from
+    the last snapshot at its t and h (an oracle error at the linearization
+    is fatal).  A snapshot that enables a priority group settles its flow
+    afresh under the advanced schedule, and the next h is the endgame's
+    first again.  Both share ``_MAX_STEPS`` attempts (``OdeResult.attempts``).
 
     Raises InvalidInputError when theta0 is not a finite vector of n numbers,
     the gain shapes do not fit the problem, or the priority groups are not
@@ -422,11 +423,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
         return traj.verdict != "continue"
 
     def endgame():
-        """Iterate from the last snapshot until a verdict or a fallback."""
+        """Iterate from the last snapshot; True once the verdict is final."""
         h0 = h = traj.final.tau - traj.samples[-2].tau
         tau = traj.final.tau
-        for _ in range(_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks
-                       - ode.accepted - ode.rejected):
+        while ode.attempts < _MAX_STEPS:
+            ode.attempts += 1
             point, res = base
             f_norm, new_norm = float(np.linalg.norm(res.dtheta)), math.inf
             factor = linearization()   # outside the try: an oracle error here is fatal
@@ -439,32 +440,25 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
                 pass
             if new_norm >= f_norm:
                 traj.endgame_fallbacks += 1
-                return
+                ode.y = traj.final.theta   # the integration goes on from there
+                return False
             traj.endgame_steps += 1
             enabled = pts.enabled
             if snapshot(tau, new):   # settles afresh if a group joined there
-                return
+                return True
             # a joining group changes the flow: restart h at the entry's
             h = h0 if pts.enabled > enabled else h * max(
                 _ENDGAME_GROWTH, f_norm / new_norm if new_norm else math.inf)
-        traj.verdict = "error:max-steps"
+        return False
 
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
-            while traj.verdict == "continue":
-                accepted = ode.accepted
-                integrate_ode(rhs, traj.final.theta, config, result=ode,
-                              linearize=lambda theta: partial(linearization(), dense=lu_factor),
-                              callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta))
-                                                           or not config.fixed_horizon),
-                              max_steps=_MAX_STEPS - traj.endgame_steps - traj.endgame_fallbacks)
-                # an accepted step since the last fallback makes the endgame's first h > 0
-                if (traj.verdict == "continue" and ode.accepted > accepted
-                        and not config.fixed_horizon):
-                    endgame()
-                elif traj.verdict == "continue":
-                    traj.verdict = ("horizon-reached" if ode.t >= config.t_end
-                                    else "error:max-steps")
+            integrate_ode(rhs, traj.final.theta, config, result=ode,
+                          linearize=lambda theta: partial(linearization(), dense=lu_factor),
+                          callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta)) or (
+                              not config.fixed_horizon and endgame())))
+            if traj.verdict == "continue":
+                traj.verdict = "horizon-reached" if ode.t >= config.t_end else "error:max-steps"
     except NlpflowError as exc:
         traj.verdict = f"error:{type(exc).__name__}"
         traj.error = exc

@@ -316,8 +316,8 @@ class TestRhsClosedForms:
             w = list(working)
             hbar = np.vstack([point.h_jac, point.g_jac[w]])
             hk = hbar @ k
-            gram, rank, _ = pinv_psd(hk @ hbar.T)
-            sol = gram(hk @ point.f_grad - np.concatenate(
+            gram, rank = pinv_psd(hk @ hbar.T)
+            sol = gram(hbar @ (k @ point.f_grad) - np.concatenate(
                 [k_h @ point.h, gains.k_g[w] * point.g[w]]))
             assert np.array_equal(res.dtheta, -k @ (point.f_grad - hbar.T @ sol))
             assert np.array_equal(np.concatenate([res.pi_e, res.pi_i[w]]), -sol)

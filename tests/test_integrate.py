@@ -17,14 +17,16 @@ import nlpflow.integrate
 from nlpflow import GainSet, IntegratorConfig, builtin, integrate_ode, parse_problem, solve
 from nlpflow.errors import (EvaluationError, InvalidInputError, NlpflowError,
                             NumericFailureError, StepFailureError)
-from nlpflow.integrate import (_FAC_MAX, Trajectory, _step_factor, dense_factor, fd_jacobian,
-                               step_rk45, step_stiff)
+from nlpflow.integrate import (_ERR_PREV_MIN, _FAC_MAX, Trajectory, _step_factor, dense_factor,
+                               fd_jacobian, step_rk45, step_stiff)
 from nlpflow.monitor import converged
 from nlpflow.problems import NlpProblem, evaluate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EX1_HARD_START = (-4.8578, 3.8180, -2.7364)
 EX1_OPTIMUM = np.array([2.0, 0.5, 0.5])
+# the Kuhn-Tucker cusp: no KKT multipliers exist at its minimizer (1, 0)
+CUSP = "var 2\nmin -x1\nineq x2 - (1 - x1)^3\nineq -x2\n"
 
 
 def sweep_starts(count):
@@ -873,8 +875,8 @@ class TestEndgame:
         # reached t_end; each endgame run must start from an accepted step,
         # with a first h > 0, and a fallback at t_end ends the solve
         sigmas = spy_endgame_sigmas(monkeypatch)
-        cusp = parse_problem("var 2\nmin -x1\nineq x2 - (1 - x1)^3\nineq -x2\n")
-        traj = solve(cusp, np.array([0.5, 0.1]), GainSet.uniform(2, 0, 2, k_theta=k, k_g=k),
+        traj = solve(parse_problem(CUSP), np.array([0.5, 0.1]),
+                     GainSet.uniform(2, 0, 2, k_theta=k, k_g=k),
                      integrator=IntegratorConfig(method=method, t_end=100.0))
         assert traj.verdict == verdict
         assert len(sigmas) == traj.endgame_steps + traj.endgame_fallbacks
@@ -951,6 +953,71 @@ class TestEndgame:
         assert taus[-1] <= 300.0
         # error-controlled steps advance tau, endgame steps repeat it
         assert sum(a == b for a, b in zip(taus, taus[1:])) == traj.endgame_steps > 0
+
+    @pytest.mark.filterwarnings("ignore::nlpflow.dynamics.MultiplierBoundWarning")
+    @pytest.mark.parametrize("text, theta0", [
+        ("var 1\nmin log(x1)\nineq 0.05 - x1\n", [1.0]),   # a trial stage leaves log's domain
+        (CUSP, [0.5, 0.1]),
+    ])
+    def test_fallbacks_keep_the_controller_memory(self, monkeypatch, text, theta0):
+        # the integration runs on through every endgame fallback, so each PI
+        # factor reads the last accepted error, not the controller's start value
+        calls = []
+
+        def recorded(err_norm, err_prev, *args):
+            calls.append((err_norm, err_prev))
+            return _step_factor(err_norm, err_prev, *args)
+
+        monkeypatch.setattr(nlpflow.integrate, "_step_factor", recorded)
+        problem = parse_problem(text)
+        traj = solve(problem, np.array(theta0), GainSet.uniform(problem.n, 0, problem.r))
+        assert traj.endgame_fallbacks > 1
+        assert len(calls) == error_controlled_attempts(traj)
+        expected = _ERR_PREV_MIN
+        for err_norm, err_prev in calls:
+            assert err_prev == expected
+            if err_norm <= 1.0:
+                expected = max(err_norm, _ERR_PREV_MIN)
+
+    @pytest.mark.filterwarnings("ignore::nlpflow.dynamics.MultiplierBoundWarning")
+    @pytest.mark.parametrize("budget, last", [(5, "integration"), (6, "endgame"),
+                                              (15, "endgame")])
+    def test_integration_and_endgame_share_the_step_budget(self, monkeypatch, budget, last):
+        # the cusp under rk45 at gains 1 alternates accepted steps and endgame
+        # fallbacks; the budget runs out in whichever part takes the last attempt
+        monkeypatch.setattr(nlpflow.integrate, "_MAX_STEPS", budget)
+        attempts, results = [], []
+        step_factor, linearize = nlpflow.integrate._step_factor, nlpflow.dynamics.linearize
+        integrate_ode = nlpflow.integrate.integrate_ode
+
+        def stepped(*args):
+            attempts.append("integration")
+            return step_factor(*args)
+
+        def linearized(*args):
+            factor = linearize(*args)   # under rk45, only the endgame factors it
+
+            def iteration(sigma, dense):
+                attempts.append("endgame")
+                return factor(sigma, dense)
+            return iteration
+
+        def integrated(*args, result, **kwargs):
+            results.append(result)
+            return integrate_ode(*args, result=result, **kwargs)
+
+        monkeypatch.setattr(nlpflow.integrate, "_step_factor", stepped)
+        monkeypatch.setattr(nlpflow.dynamics, "linearize", linearized)
+        monkeypatch.setattr(nlpflow.integrate, "integrate_ode", integrated)
+        traj = solve(parse_problem(CUSP), np.array([0.5, 0.1]),
+                     GainSet.uniform(2, 0, 2, k_theta=1.0, k_g=1.0))
+        assert traj.verdict == "error:max-steps"
+        assert traj.endgame_fallbacks > 0
+        assert attempts[-1] == last and len(attempts) == budget
+        assert (error_controlled_attempts(traj) + traj.endgame_steps
+                + traj.endgame_fallbacks) == budget
+        # one integration per solve, whose counter also holds the endgame's iterations
+        assert len(results) == 1 and results[0].attempts == budget
 
     @pytest.mark.parametrize("budget", [1, 6, 14])
     def test_endgame_iterations_count_towards_max_steps(self, monkeypatch, budget):
