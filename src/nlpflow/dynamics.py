@@ -164,7 +164,8 @@ class WorkingSet:
 class RhsResult:
     """Flow direction with its multipliers and working-set diagnostics, and
     the system it solved for them: ``rows``, the stacked rows H, and
-    ``gram``, ``pinv_gram``'s solve b -> (H K H^T)+ b (None with no row)."""
+    ``gram``, ``pinv_gram``'s solve b -> (H K H^T)+ b (None with no row),
+    which a later ``rhs_general`` on bitwise-equal rows reuses."""
 
     dtheta: np.ndarray
     pi_e: np.ndarray
@@ -190,12 +191,15 @@ def classify(point, pts=None, warm=()):
                       working=tuple(warm[on[warm]].tolist()))
 
 
-def rhs_general(point, gains, ws):
+def rhs_general(point, gains, ws, prior=None):
     """Flow direction valid anywhere: violations decay at first order.
 
     Equality values follow dh/dtau = -K_h h (projected onto the achievable
     subspace when the stacked Jacobian is rank deficient) and each working
     inequality follows dg_i/dtau = -k_g[i] g_i.
+
+    ``prior``, an RhsResult under the same gains, lends its Gram solve and
+    rank to rows bitwise equal to its own (0.0 and -0.0 are not).
     """
     s = point.h.size
     working = list(ws.working)
@@ -206,7 +210,8 @@ def rhs_general(point, gains, ws):
     if m:
         targets = np.concatenate([_gain_times(gains._k_h, point.h),
                                   gains.k_g[working] * point.g[working]])
-        gram, rank = pinv_gram(hbar, kt)
+        same = prior is not None and np.array_equal(prior.rows.view(np.int64), hbar.view(np.int64))
+        gram, rank = (prior.gram, prior.stacked_jacobian_rank) if same else pinv_gram(hbar, kt)
         pi = -gram(hbar @ _gain_times(kt, point.f_grad) - targets)
         grad_lag = point.f_grad + hbar.T @ pi
     dtheta = -_gain_times(kt, grad_lag)
@@ -293,7 +298,7 @@ def _scatter(shape, at, vals):
     return a
 
 
-def resolve_working_set(point, gains, candidate):
+def resolve_working_set(point, gains, candidate, prior=None):
     """Active-set loop settling the working subset.
 
     Iterates: compute the direction treating the working set as equalities;
@@ -301,7 +306,8 @@ def resolve_working_set(point, gains, candidate):
     the constraint inactive); otherwise add the activated index whose
     required decay dg_i/dtau + k_g[i] g_i <= _DYN_TOL is worst violated.
     Ties prefer the smallest index.  Terminates when signs and dynamics are
-    simultaneously satisfied.
+    simultaneously satisfied.  Each direction takes the last one computed,
+    at first ``prior`` (see ``rhs_general``), as its prior.
 
     On failure to settle within 2r+2 iterations the auxiliary LP is run for
     a verdict: an infeasible subproblem raises InfeasibleSubproblemError,
@@ -312,11 +318,11 @@ def resolve_working_set(point, gains, candidate):
     in_work[list(candidate.working)] = True
     history = []
     max_iter = 2 * max(1, point.g.size) + 2
-    res = None
+    res = prior
     for _ in range(max_iter):
         w = np.flatnonzero(in_work)
         history.append(tuple(w.tolist()))
-        res = rhs_general(point, gains, WorkingSet(candidate.activated, history[-1]))
+        res = rhs_general(point, gains, WorkingSet(candidate.activated, history[-1]), res)
         if w.size:
             mults = res.pi_i[w]
             worst = int(np.argmin(mults))

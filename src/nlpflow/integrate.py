@@ -325,19 +325,20 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
 
     ``flow`` computes the flow at an evaluated point: classify the activated
     rows, settle the working set warm-started from the last snapshot, and
-    recover the multipliers.  The stepper's stages evaluate their point and
-    call it; a snapshot calls it on the point the step accepted, after
-    advancing the priority schedule.  Its settled direction is also
-    ``f0``, the stepper's first stage at that point: resolving from the
-    settled set at the same point and schedule returns that set at once.
-    The point itself is the last one evaluated when the step's final stage
-    lies on it bitwise (Dormand-Prince), and ``flow`` returns that stage's
-    result for the same point, schedule and warm start, so each accepted
-    point is evaluated and settled once (settled again if the schedule
-    advanced there).  The linearization at a base point is
+    recover the multipliers, with the last settlement as the prior whose
+    Gram solve bitwise-unchanged rows reuse.  The stepper's stages evaluate
+    their point and call it; a snapshot calls it on the point the step
+    accepted, after advancing the schedule.  Its settled direction is also
+    ``f0``, the first stage there: resolving from the settled set at the
+    same point and schedule returns that set at once.  The point itself is
+    the last one evaluated when the step's final stage lies on it bitwise
+    (Dormand-Prince), and ``flow`` returns that stage's result for the same
+    point, schedule and warm start, so each accepted point is evaluated and
+    settled once (again if the schedule advanced there) and each run of
+    unchanged rows factored once.  The linearization at a base point is
     ``dynamics.linearize`` of the snapshot's settled flow and curvature,
-    made once even when an endgame iteration from there falls back; a
-    system with no band is factored by ``lu_factor`` in the stepper and by
+    made once even when an endgame iteration from there falls back; a system
+    with no band is factored by ``lu_factor`` in the stepper and by
     ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
 
     Endgame (never under ``fixed_horizon``): the one ``integrate_ode``
@@ -387,7 +388,8 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     def flow(point):
         nonlocal last_flow
         if not all(a is b for a, b in zip(last_flow, (point, pts, warm))):
-            res = dynamics.resolve_working_set(point, gains, dynamics.classify(point, pts, warm))
+            res = dynamics.resolve_working_set(point, gains, dynamics.classify(point, pts, warm),
+                                               last_flow[-1])
             last_flow = (point, pts, warm, res)
         return last_flow[-1]
 

@@ -22,7 +22,8 @@ Values come from the expressions compiled as written.  For derivatives,
 each expression's top-level sum is split into signed terms (partial
 separability), and each term shape gets two straight-line float kernels at
 parse time, its local partials and its local Hessian; the oracles call them
-per term and scatter the results with ``numpy.bincount``.
+per term and scatter the results with ``numpy.bincount``.  A bare variable
+gets none: its partial is 1 and its Hessian empty.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ def _term(sign, node, source, shapes, row):
     shape = (_VAR_RE.sub("x", text), *map(variables.index, found))
     if shape not in shapes:
         slot = {var: j for j, var in enumerate(variables)}
-        shapes[shape] = [*_Kernel(slot).source(node, len(shapes)), []]
+        kernel = _Kernel(slot).source(node, len(shapes)) if shape != ("x", 0) else ("", [])
+        shapes[shape] = [*kernel, []]
     shapes[shape][2].append((row, sign, variables))
 
 
@@ -375,9 +377,10 @@ def _oracles(shapes, n, r, s):
 
     def run(order, theta):
         x = np.asarray(theta, dtype=float)
-        return np.fromiter(chain.from_iterable(chain.from_iterable(
-            map(namespace[f"k{order}_{i}"], x[idx].tolist())) for i, idx in enumerate(slots)),
-            float)
+        return np.fromiter(chain.from_iterable(
+            chain.from_iterable(map(namespace[f"k{order}_{i}"], x[idx].tolist()))
+            if shape != ("x", 0) else [1.0] * len(idx) * (order == 1)   # partial 1, no Hessian
+            for i, (shape, idx) in enumerate(zip(shapes, slots))), float)
 
     def derivatives(theta):
         jac = _scatter(d_index, run(1, theta) * d_sign, 1 + r + s, n)

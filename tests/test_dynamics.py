@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import types
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+import nlpflow.dynamics
 from nlpflow import GainSet, builtin, parse_problem
 from nlpflow.dynamics import (
     MultiplierBoundWarning,
@@ -381,6 +383,81 @@ class TestRedundantRows:
             gains_ext = GainSet.uniform(n, s + 1, 0)
             more = rhs_general(extended, gains_ext, WorkingSet((), ()))
             assert np.abs(base.dtheta - more.dtheta).max() <= 1e-8
+
+
+def result_bits(res):
+    """An RhsResult's arrays as bytes, which tell a signed zero apart, and its rank."""
+    return [a.tobytes() for a in (res.dtheta, res.pi_e, res.pi_i, res.rows)] + [
+        res.stacked_jacobian_rank]
+
+
+class TestGramReuse:
+    """rhs_general takes its prior's Gram solve only on bitwise-equal rows."""
+
+    @staticmethod
+    def count_grams(monkeypatch):
+        calls = [0]
+        pinv_gram = nlpflow.dynamics.pinv_gram
+
+        def counted(*args):
+            calls[0] += 1
+            return pinv_gram(*args)
+
+        monkeypatch.setattr(nlpflow.dynamics, "pinv_gram", counted)
+        return calls
+
+    # row 0 of both is a bound on theta_1, so the rows are constant: on
+    # example1 two parallel planes and the bound (a rank-deficient Gram,
+    # eigh), on the chain at n = 100 theta_i - theta_i+1 = 0 and the bound
+    # (the banded LU)
+    @pytest.mark.parametrize("name, size", [("example1", None), ("example2", 100)])
+    def test_equal_rows_reuse_the_prior_solve(self, monkeypatch, name, size):
+        problem = builtin(name) if size is None else builtin(name, size=size)
+        rng = np.random.default_rng(5)
+        first, second = (evaluate(problem, rng.uniform(0.7, 1.2, problem.n)) for _ in range(2))
+        gains = GainSet.uniform(problem.n, problem.s, problem.r)
+        ws = WorkingSet((0,), (0,))
+        prior, fresh = rhs_general(first, gains, ws), rhs_general(second, gains, ws)
+        calls = self.count_grams(monkeypatch)
+        reused = rhs_general(second, gains, ws, prior)
+        assert calls[0] == 0
+        assert reused.gram is prior.gram
+        assert result_bits(reused) == result_bits(fresh)
+        assert not np.array_equal(reused.dtheta, prior.dtheta)
+
+    @pytest.mark.parametrize("change", ["ulp", "signed zero", "working row"])
+    def test_rows_changed_in_any_bit_are_factored_afresh(self, monkeypatch, change):
+        point = evaluate(builtin("example1"), np.array([1.0, 0.4, 0.7]))
+        gains = GainSet.uniform(3, 2, 5)
+        ws = WorkingSet((0, 1), (0,))
+        prior = rhs_general(point, gains, ws)
+        h_jac, g_jac = point.h_jac.copy(), point.g_jac.copy()
+        if change == "ulp":
+            h_jac[0, 0] = np.nextafter(h_jac[0, 0], np.inf)
+        elif change == "signed zero":
+            assert g_jac[0, 1] == 0.0
+            g_jac[0, 1] = -g_jac[0, 1]
+        else:
+            ws = WorkingSet((0, 1), (0, 1))
+        moved = dataclasses.replace(point, h_jac=h_jac, g_jac=g_jac)
+        fresh = rhs_general(moved, gains, ws)
+        calls = self.count_grams(monkeypatch)
+        reused = rhs_general(moved, gains, ws, prior)
+        assert calls[0] == 1
+        assert reused.gram is not prior.gram
+        assert result_bits(reused) == result_bits(fresh)
+
+    def test_resolution_threads_its_prior(self, monkeypatch):
+        # settling again at a point whose rows are those of the prior
+        # factors nothing; without the prior each working set is factored
+        point = evaluate(builtin("example1"), np.array([1.0, 0.4, 0.7]))
+        gains = GainSet.uniform(3, 2, 5)
+        prior = resolve_working_set(point, gains, classify(point))
+        calls = self.count_grams(monkeypatch)
+        again = resolve_working_set(point, gains, classify(point, warm=prior.working_set.working),
+                                    prior)
+        assert calls[0] == 0
+        assert result_bits(again) == result_bits(prior)
 
 
 def brute_force_directions(point, gains, candidate, sign_tol=1e-9, dyn_tol=1e-8):

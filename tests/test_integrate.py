@@ -786,28 +786,66 @@ class TestStiffJacobian:
 
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
     def test_each_settled_gram_is_factored_once(self, monkeypatch, method):
-        # the linearization builds on the Gram its settled flow factored: one
-        # pinv_gram call per rhs_general call with a row, none from linearize
-        # or its factors
-        calls = {"gram": 0, "with_rows": 0}
+        # one pinv_gram call per rhs_general call whose stacked rows differ
+        # in some bit from its prior's (a run of unchanged rows shares one
+        # factorization), and none from linearize or its factors, which
+        # build on the settled flow's
+        calls = {"gram": 0, "with_rows": 0, "differing": 0}
         pinv_gram, rhs_general = nlpflow.dynamics.pinv_gram, nlpflow.dynamics.rhs_general
 
         def counted_gram(*args):
             calls["gram"] += 1
             return pinv_gram(*args)
 
-        def counted_rhs(point, gains, ws):
-            calls["with_rows"] += point.h.size + len(ws.working) > 0
-            return rhs_general(point, gains, ws)
+        def counted_rhs(point, gains, ws, prior=None):
+            rows = np.concatenate([point.h_jac, point.g_jac[list(ws.working)]])
+            calls["with_rows"] += len(rows) > 0
+            calls["differing"] += len(rows) > 0 and (
+                prior is None or prior.rows.shape != rows.shape
+                or prior.rows.tobytes() != rows.tobytes())
+            return rhs_general(point, gains, ws, prior)
 
         monkeypatch.setattr(nlpflow.dynamics, "pinv_gram", counted_gram)
         monkeypatch.setattr(nlpflow.dynamics, "rhs_general", counted_rhs)
         record_linearizations(monkeypatch, calls)
         traj = solve_example1(EX1_HARD_START, method)
         assert traj.verdict == "converged"
-        assert calls["gram"] == calls["with_rows"] > 0
+        assert 0 < calls["gram"] == calls["differing"] < calls["with_rows"]
         assert calls["linearize"] == traj.jacobian_count > 0
         assert calls["grams_in_linearizations"] == 0
+
+    @pytest.mark.parametrize("case", ["example1-rk45", "example1-stiff", "chain-stiff",
+                                      "log-edge"])
+    def test_reused_gram_solves_change_nothing(self, monkeypatch, case):
+        # every sample and counter equals that of a run that factors every
+        # Gram afresh, rhs_general ignoring its prior
+        if case.startswith("example1"):
+            run = partial(solve_example1, EX1_HARD_START, case.split("-")[1])
+        elif case == "chain-stiff":
+            n = 10
+            run = partial(solve, builtin("example2", size=n), np.linspace(2.0, 0.8, n),
+                          GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0),
+                          integrator=IntegratorConfig(method="stiff"))
+        else:
+            run = partial(solve, parse_problem("var 1\nmin log(x1)\nineq 0.05 - x1\n"),
+                          np.array([1.0]), GainSet.uniform(1, 0, 1))
+
+        def summary(traj):
+            return ([(s.tau, s.working, *(a.tobytes() for a in (s.theta, s.pi_e, s.pi_i)))
+                     for s in traj.samples],
+                    traj.verdict, traj.step_count, traj.rhs_eval_count, traj.rejected_count,
+                    traj.jacobian_count, traj.trial_rejections, traj.endgame_steps,
+                    traj.endgame_fallbacks)
+
+        grams = count_calls(monkeypatch, nlpflow.dynamics, "pinv_gram")
+        reusing = summary(run())
+        reused_grams, grams[0] = grams[0], 0
+        rhs_general = nlpflow.dynamics.rhs_general
+        monkeypatch.setattr(nlpflow.dynamics, "rhs_general",
+                            lambda point, gains, ws, prior=None: rhs_general(point, gains, ws))
+        assert summary(run()) == reusing
+        assert reusing[1] == "converged"
+        assert reused_grams < grams[0]
 
     def test_fallback_calls_the_solved_problems_derivatives(self):
         # without a curvature oracle each Jacobian differences the derivative

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -338,3 +339,28 @@ def test_derivative_rule_that_divides_by_zero_is_evaluation_error():
         problem.derivatives(np.zeros(1))
     with pytest.raises(EvaluationError):
         problem.curvature(np.zeros(1), np.zeros(0), np.zeros(0), np.ones(1))
+
+
+def test_bare_variables_run_no_kernel():
+    # x2 and x1 beside curved terms in one row, and a row of bare variables:
+    # only the two x^2 terms call a kernel, one call per term and oracle
+    problem = parse_problem("var 2\nmin x1 + x2^2\nineq x1^2 - x2 + x1\neq x1 - x2\n")
+    theta, v = np.array([0.3, -1.7]), np.array([1.0, -3.0])
+    kernels = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<problem kernels>":
+            kernels.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        f_grad, g_jac, h_jac = problem.derivatives(theta)
+        w, g_v, h_v = problem.curvature(theta, np.array([0.5]), np.array([2.0]), v)
+    finally:
+        sys.setprofile(None)
+    assert kernels == ["k1_1", "k1_1", "k2_1", "k2_1"]   # shape 0 is the bare x
+    # the values of one kernel per shape, pinned bitwise (no signed zero)
+    pinned = ([1.0, -3.4], [[1.6, -1.0]], [[1.0, -1.0]], [[4.0, 0.0], [0.0, 2.0]],
+              [[2.0, 0.0]], [[0.0, 0.0]])
+    for got, want in zip((f_grad, g_jac, h_jac, w, g_v, h_v), pinned):
+        assert got.tobytes() == np.array(want).tobytes()
