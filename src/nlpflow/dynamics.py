@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CyclingError, InfeasibleSubproblemError, InvalidInputError,
                      NumericFailureError)
-from .linalg import banded_lu, first_columns, pinv_gram, rank_cutoff, times_gain
+from .linalg import banded_lu, first_columns, lu_factor, pinv_gram, rank_cutoff, times_gain
 
 _EPS_ACT = 1e-8         # g_i >= -_EPS_ACT counts as activated
 # a working multiplier below -_SIGN_TOL leaves the working set; an activated
@@ -229,8 +229,8 @@ def rhs_general(point, gains, ws, prior=None):
 
 def linearize(gains, res, curv):
     """The flow's linearization at an evaluated point, on the smooth piece of
-    the working set ``res`` settled there: ``factor(sigma, dense)`` is the
-    solve v -> (sigma I - J)^-1 v for the flow's Jacobian J.
+    the working set ``res`` settled there: ``factor(sigma)`` is the solve
+    v -> (sigma I - J)^-1 v for the flow's Jacobian J.
 
     ``curv``, ``curvature_at``'s (W, G_v, H_v) at ``res``, gives W, the
     Lagrangian's Hessian, and M, the rows of H_v and G_v[working].  With the
@@ -246,9 +246,9 @@ def linearize(gains, res, curv):
     Its nonzeros are found once; each sigma adds sigma [I; H] and scales
     rows, then columns, to max-abs 1.  A band under a quarter of n + m (rows
     of H placed by ``first_columns``) is factored by ``banded_lu``; else, or
-    with no certified LU, ``dense`` factors the formed system.  Otherwise
+    with no certified LU, ``lu_factor`` solves the formed system.  Otherwise
     (rank-deficient rows, matrix gains or no row) J is formed, by one
-    ``res.gram`` solve, and ``dense`` factors sigma I - J.
+    ``res.gram`` solve, and ``lu_factor`` solves sigma I - J.
     """
     n, s = res.dtheta.size, res.pi_e.size
     kt, kh, working = gains._k_theta, gains._k_h, list(res.working_set.working)
@@ -258,7 +258,7 @@ def linearize(gains, res, curv):
         m_rows += np.concatenate([_gain_times(kh, rows[:s]), gains.k_g[working, None] * rows[s:]])
         kr = times_gain(rows, kt)   # J formed, by one Gram solve
         jac = (kr.T @ res.gram(kr @ w - m_rows) if len(rows) else 0.0) - _gain_times(kt, w)
-        return lambda sigma, dense: dense(sigma * np.eye(n) - jac)
+        return lambda sigma: lu_factor(sigma * np.eye(n) - jac)
     decay = np.concatenate([kh, gains.k_g[working]])   # K and T scale the nonzeros of W and H
     on, on_h = w != 0, (rows != 0) | (m_rows != 0)
     np.fill_diagonal(on, True)
@@ -278,7 +278,7 @@ def linearize(gains, res, curv):
     banded = 4 * max(kl, ku) < size
     band = (kl + ku + offset) * size + pos[at_cols]
 
-    def factor(sigma, dense):
+    def factor(sigma):
         vals = const + sigma * slope
         # a zero row or column keeps its zeros, and dgbtrf then fails
         row_max, col_max = np.full(size, _TINY), np.full(size, _TINY)
@@ -287,7 +287,7 @@ def linearize(gains, res, curv):
         np.maximum.at(col_max, at_cols, np.abs(vals))
         vals /= col_max[at_cols]
         solve = banded and banded_lu(_scatter((2 * kl + ku + 1, size), band, vals), kl, ku, order)
-        solve = solve or dense(_scatter((size, size), at_rows * size + at_cols, vals))
+        solve = solve or lu_factor(_scatter((size, size), at_rows * size + at_cols, vals))
         return lambda v: solve(np.concatenate([v, rows @ v]) / row_max)[:n] / col_max[:n]
     return factor
 

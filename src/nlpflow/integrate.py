@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dynamics, monitor
 from .errors import InvalidInputError, NlpflowError, NumericFailureError, StepFailureError
+from .linalg import lu_factor
 from .problems import FD_REL_STEP, curvature_at, evaluate
 
 _H_MIN = 1e-12          # step-size floor; a rejection below it is a StepFailureError
@@ -148,29 +149,16 @@ def fd_jacobian(rhs, y, f0):
     return jac
 
 
-def lu_factor(a):
-    """``solve(v) = a^-1 v`` from LAPACK's LU of a, with scipy imported on
-    first use.  A non-finite or exactly singular a is a NumericFailureError."""
-    from scipy.linalg import lu_solve
-    from scipy.linalg.lapack import dgetrf
-    if not np.isfinite(a).all():
-        raise NumericFailureError("stage matrix is not finite")
-    lu, piv, info = dgetrf(a)
-    if info != 0:
-        raise NumericFailureError(f"stage matrix is exactly singular (dgetrf info {info})")
-    return partial(lu_solve, (lu, piv))
-
-
 def dense_factor(jac):
     """The factor of a formed Jacobian: ``factor(sigma)`` is the solve
-    v -> (sigma I - jac)^-1 v, by one LU per sigma."""
+    v -> (sigma I - jac)^-1 v, by ``lu_factor``."""
     return lambda sigma: lu_factor(np.eye(jac.shape[0]) * sigma - jac)
 
 
 def step_stiff(rhs, y, h, rel_tol, abs_tol, factor, f0):
     """One L-stable Rosenbrock 4(3) step at y.  ``factor(sigma)`` gives the
     solve v -> (sigma I - J)^-1 v for the Jacobian J of ``rhs`` at y; the
-    step factors once, at sigma = 1/(h gamma), for its six stages, and a
+    step asks for it once, at sigma = 1/(h gamma), for its six stages, and a
     non-finite stage right-hand side is a NumericFailureError.  Same return
     convention and acceptance test as step_rk45.  ``factor`` and ``f0`` may
     be reused across rejected attempts at the same point."""
@@ -337,9 +325,9 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     settled once (again if the schedule advanced there) and each run of
     unchanged rows factored once.  The linearization at a base point is
     ``dynamics.linearize`` of the snapshot's settled flow and curvature,
-    made once even when an endgame iteration from there falls back; a system
-    with no band is factored by ``lu_factor`` in the stepper and by
-    ``np.linalg.solve`` in the endgame (so rk45 example1 loads no scipy).
+    made once even when an endgame iteration from there falls back; the
+    stepper and the endgame solve a system with no band by ``lu_factor``
+    (numpy), so only a band or the verdict LP loads scipy.
 
     Endgame (never under ``fixed_horizon``): the one ``integrate_ode``
     run's callback snapshots each accepted step and hands over to
@@ -434,11 +422,11 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
             f_norm, new_norm = float(np.linalg.norm(res.dtheta)), math.inf
             factor = linearization()   # outside the try: an oracle error here is fatal
             try:
-                delta = factor(1 / h, lambda lhs: partial(np.linalg.solve, lhs))(res.dtheta)
+                delta = factor(1 / h)(res.dtheta)
                 if delta @ res.dtheta > 0:   # else I/h - J is indefinite: no stable equilibrium
                     new = evaluate_at(point.theta + delta)
                     new_norm = float(np.linalg.norm(flow(new).dtheta))
-            except (NlpflowError, np.linalg.LinAlgError):
+            except NlpflowError:
                 pass
             if new_norm >= f_norm:
                 traj.endgame_fallbacks += 1
@@ -456,7 +444,7 @@ def solve(problem, theta0, gains, integrator=None, pts_groups=None):
     try:
         if not snapshot(0.0, evaluate_at(theta0)):
             integrate_ode(rhs, traj.final.theta, config, result=ode,
-                          linearize=lambda theta: partial(linearization(), dense=lu_factor),
+                          linearize=lambda theta: linearization(),
                           callback=lambda tau, theta: (snapshot(tau, evaluate_at(theta)) or (
                               not config.fixed_horizon and endgame())))
             if traj.verdict == "continue":

@@ -1,24 +1,22 @@
-"""Dense and banded real linear algebra: minimum-norm Gram solves.
+"""Dense and banded real linear algebra: minimum-norm Gram solves and LU.
 
-All routines reject non-finite input with InvalidInputError and are pure
-functions of their inputs, so they are safe to call concurrently.  Matrices are plain 2-D numpy
-arrays of float64; vectors are 1-D arrays.
+All routines reject non-finite input, with InvalidInputError
+(NumericFailureError from ``lu_factor``), and are pure functions of their
+inputs, so they are safe to call concurrently.  Matrices are plain 2-D
+numpy arrays of float64; vectors are 1-D arrays.  Dense systems run on
+numpy's LAPACK; scipy is imported, on first use, only for banded ones.
 
 One rank convention (``rank_cutoff``) holds for ``pinv_gram`` and the
 verdict LP.  ``pinv_gram`` factors an m-row Gram G = H K H^T once, for
-b -> G+ b, on one of three branches, all under that convention: eigenvalues
+b -> G+ b, on one of two branches, both under that convention: eigenvalues
 of G at or below m * eps * lambda_max count as zero, i.e. singular values
 of H K^(1/2) below sqrt(m * eps) * sigma_max.
 - Banded LU (``dgbtrf``): from ``_BAND_MIN_ROWS`` rows up, when K is
-  diagonal and G, with H's rows ordered by first nonzero column, is banded.
-  Its certified LU, ``banded_lu``, also solves the flow's saddle-point
-  systems (``dynamics.linearize``).
-- Cholesky (``dpotrf``): from ``_CHOLESKY_MIN_ROWS`` rows up.
-- ``eigh``: forms G+ and sets the rank.
-The first two factor only when a 1-norm condition estimate certifies that
-every eigenvalue would be kept, so they return rank m; anything else falls
-through to the next.  Grams under ``_CHOLESKY_MIN_ROWS`` rows go straight to
-``eigh``, where Cholesky saves nothing, and leave scipy unloaded.
+  diagonal and G, with H's rows ordered by first nonzero column, is banded,
+  and only when a 1-norm condition estimate certifies that every eigenvalue
+  would be kept, so it returns rank m.  Its certified LU, ``banded_lu``,
+  also solves the flow's saddle-point systems (``dynamics.linearize``).
+- ``eigh`` (``pinv_psd``): every other Gram; it forms G+ and sets the rank.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 
-_CHOLESKY_MIN_ROWS = 4   # Grams with fewer rows skip the Cholesky attempt
 _BAND_MIN_ROWS = 48      # under this many rows the dense solve is the faster
 
 
@@ -122,24 +119,13 @@ def banded_lu(ab, kl, ku, order):
 
 
 def pinv_psd(g):
-    """``(solve, rank)``, ``solve(b) = G+ b``, for a formed symmetric PSD G.
-
-    From ``_CHOLESKY_MIN_ROWS`` rows up, Cholesky solves when dpocon's
-    reciprocal 1-norm condition estimate is certified (``_certified``).
-    Otherwise ``eigh`` sets the rank and forms G+ = L diag(lambda)^-1 L^T from
-    the kept eigenpairs.
-    """
+    """``(solve, rank)``, ``solve(b) = G+ b``, for a formed symmetric PSD G:
+    ``eigh`` sets the rank and forms G+ = L diag(lambda)^-1 L^T from the
+    kept eigenpairs."""
     if not np.isfinite(g).all():
         raise InvalidInputError("gram matrix contains non-finite entries")
     a = 0.5 * (g + g.T)
     m = a.shape[0]
-    if m >= _CHOLESKY_MIN_ROWS:
-        from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
-        chol, info = dpotrf(a)
-        if info == 0:
-            rcond, _ = dpocon(chol, np.abs(a).sum(axis=0).max())
-            if _certified(rcond, m):
-                return (lambda b: dpotrs(chol, b)[0]), m
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -150,3 +136,18 @@ def pinv_psd(g):
         q, w = q[:, keep], w[keep]
     pinv = (q / w) @ q.T
     return (lambda b: pinv @ b), rank
+
+
+def lu_factor(a):
+    """``solve(v) = a^-1 v`` by ``np.linalg.solve``, which factors a
+    (LAPACK's LU) at each call.  A non-finite a, or at a solve an exactly
+    singular one, is a NumericFailureError."""
+    if not np.isfinite(a).all():
+        raise NumericFailureError("matrix is not finite")
+
+    def solve(v):
+        try:
+            return np.linalg.solve(a, v)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"matrix is exactly singular: {exc}") from exc
+    return solve

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import types
-from functools import partial
 
 import numpy as np
 import pytest
@@ -329,8 +328,7 @@ class TestRhsClosedForms:
             full = types.SimpleNamespace(_k_theta=k, _k_h=k_h, k_g=gains.k_g)
             v = np.array([0.3, -1.2, 0.7])
             for sigma in (0.5, 40.0):
-                solves = [linearize(g, res, curv)(sigma, lambda a: partial(np.linalg.solve, a))(v)
-                          for g in (gains, full)]
+                solves = [linearize(g, res, curv)(sigma)(v) for g in (gains, full)]
                 assert np.array_equal(*solves)
 
     def test_non_finite_flow_is_a_numeric_failure(self):
@@ -596,6 +594,8 @@ class TestFlowJacobian:
     forward differences of rhs_general with the working set frozen."""
 
     def check(self, problem, theta, gains, working, rank, banded=False, differenced=True):
+        """Returns the shapes of the dense systems the solves formed, none when
+        ``banded``."""
         ws = WorkingSet(activated=working, working=working)
         point = evaluate(problem, theta)
         res = rhs_general(point, gains, ws)
@@ -607,15 +607,20 @@ class TestFlowJacobian:
         if differenced:
             assert np.abs(jac - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
 
+        formed, lu_factor = [], nlpflow.dynamics.lu_factor
+
         def dense(lhs):
-            assert not banded, "the banded path formed the saddle-point system"
-            return lambda v: np.linalg.solve(lhs, v)
+            formed.append(lhs.shape)
+            return lu_factor(lhs)
 
         factor = linearize(gains, res, curv)
         v = np.random.default_rng(7).standard_normal(theta.size)
         # the stiff stepper's sigma = 1/(h gamma) at h = 0.05, 1 and 100
-        for sigma in (1 / (0.05 * _ROS_GAMMA), 1 / _ROS_GAMMA, 1 / (100 * _ROS_GAMMA)):
-            got = factor(sigma, dense)(v)
+        sigmas = (1 / (0.05 * _ROS_GAMMA), 1 / _ROS_GAMMA, 1 / (100 * _ROS_GAMMA))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nlpflow.dynamics, "lu_factor", dense)
+            solves = [factor(sigma)(v) for sigma in sigmas]
+        for sigma, got in zip(sigmas, solves):
             # the solve inverts a matrix within 1e-5 of sigma I - J_fd; its
             # difference from the solve with J_fd is that times the condition
             # number, which for the chain reaches 2e3 at h = 100
@@ -625,6 +630,8 @@ class TestFlowJacobian:
                         <= 1e-5 * np.abs(lhs).sum(axis=1).max() * np.abs(got).max())
             want = np.linalg.solve(sigma * np.eye(theta.size) - jac, v)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert not (banded and formed), "the banded path formed the saddle-point system"
+        return formed
 
     def test_rank_deficient_gram(self):
         # the duplicated equality leaves 4 stacked rows of rank 3: eigh branch
@@ -632,19 +639,17 @@ class TestFlowJacobian:
         self.check(p, np.array([1.7, 0.8, 0.6]), GainSet.uniform(3, 2, 5, 0.1, 0.3, 0.7),
                    working=(3, 4), rank=3)
 
-    def test_full_rank_gram(self, monkeypatch):
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("full-rank Gram should be solved by Cholesky")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    def test_full_rank_gram(self):
+        # a gain that is not diagonal: J is formed, and each sigma I - J is
+        # solved densely
         n = 10
         rng = np.random.default_rng(5)
         a = rng.standard_normal((n, n))
         k_theta = 0.1 * (a @ a.T / n + np.eye(n))
         gains = GainSet(k_theta, 1.5 * np.eye(n - 1), rng.uniform(0.5, 2.0, 2 * n))
         # the equality rows and one quadratic band row span R^n
-        self.check(builtin("example2", size=n), rng.uniform(0.7, 1.2, n), gains,
-                   working=(4,), rank=n)
+        assert self.check(builtin("example2", size=n), rng.uniform(0.7, 1.2, n), gains,
+                          working=(4,), rank=n) == [(n, n)] * 3
 
     def test_banded_gram(self, monkeypatch):
         import scipy.linalg.lapack as lapack
@@ -691,18 +696,12 @@ class TestFlowJacobian:
     def test_no_rows(self):
         p = builtin("unconstrained-quadratic", size=3)
         gains = GainSet(np.diag([0.5, 1.0, 2.0]), np.eye(0), np.zeros(0))
-        self.check(p, np.array([1.0, -2.0, 0.5]), gains, working=(), rank=0)
+        # J = -K: each system is sigma I + K alone, formed densely
+        assert self.check(p, np.array([1.0, -2.0, 0.5]), gains, working=(),
+                          rank=0) == [(3, 3)] * 3
         point = evaluate(p, np.ones(3))
         res = rhs_general(point, gains, WorkingSet((), ()))
         factor = linearize(gains, res, curvature_at(p, point, res.pi_e, res.pi_i, res.dtheta))
-        formed = []
-
-        def dense(lhs):
-            formed.append(lhs.shape)
-            return lambda v: np.linalg.solve(lhs, v)
-
-        # J = -K: the system is sigma I + K alone
         v = np.array([1.0, -2.0, 3.0])
-        got = factor(2.0, dense)(v)
-        assert formed == [(3, 3)]
+        got = factor(2.0)(v)
         assert np.abs(got - v / (2.0 + np.diag(gains.k_theta))).max() <= 1e-15

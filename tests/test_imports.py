@@ -3,7 +3,9 @@ the importing file.  Names listed in ``__all__`` count as read, and
 ``from __future__`` imports are skipped.  Every module-level name of the
 package is read by some other statement of it, an import or ``__all__``
 included, or is documented API (``DOCUMENTED_API``), so removing a helper's
-last caller removes the helper too."""
+last caller removes the helper too.  The package imports from scipy only
+the banded LU routines and the verdict LP, each inside a function, so that
+``import nlpflow`` loads no scipy."""
 
 import ast
 import pathlib
@@ -138,3 +140,46 @@ def test_scanner_finds_a_setattr_outside_post_init():
 def test_no_setattr_outside_post_init():
     assert {str(p.relative_to(ROOT)): setattr_outside_post_init(p.read_text(encoding="utf-8"))
             for p in FILES} == {str(p.relative_to(ROOT)): [] for p in FILES}
+
+
+# scipy serves only the banded solves and the verdict LP; dense systems run on numpy
+SCIPY_NAMES = {"scipy.linalg.lapack.dgbtrf", "scipy.linalg.lapack.dgbcon",
+               "scipy.linalg.lapack.dgbtrs", "scipy.optimize.linprog"}
+
+
+def scipy_imports(source):
+    """(line, dotted name, inside a function body) of each name imported
+    from scipy."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for stmt in fn.body for node in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name, id(node) in inside) for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scanner_finds_scipy_imports():
+    source = ("import scipy.linalg\nfrom scipy.optimize import linprog\n"
+              "def f():\n    from scipy.linalg.lapack import dgbtrf, dgetrf\n"
+              "    import numpy, scipy\n    from . import scipy as x\n")
+    assert scipy_imports(source) == [
+        (1, "scipy.linalg", False), (2, "scipy.optimize.linprog", False),
+        (4, "scipy.linalg.lapack.dgbtrf", True), (4, "scipy.linalg.lapack.dgetrf", True),
+        (5, "scipy", True)]
+
+
+def test_scipy_only_for_bands_and_the_verdict_lp():
+    found = {str(p.relative_to(ROOT)): [(line, name) for line, name, local
+                                          in scipy_imports(p.read_text(encoding="utf-8"))
+                                          if name not in SCIPY_NAMES or not local]
+             for p in sorted(ROOT.glob("src/nlpflow/*.py"))}
+    assert found == {file: [] for file in found}

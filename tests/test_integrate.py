@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -70,21 +71,28 @@ def schedule_advance(traj):
 
 def spy_endgame_sigmas(monkeypatch):
     """Wraps ``dynamics.linearize`` to record, in order, the sigma = 1 / h of
-    every endgame iteration (the factors the stiff stepper asks for pass
-    ``lu_factor`` as their dense solver, the endgame's do not)."""
-    sigmas = []
-    linearize = nlpflow.dynamics.linearize
+    every endgame iteration: the factors asked for outside ``step_stiff``."""
+    sigmas, stepping = [], [False]
+    linearize, step_stiff = nlpflow.dynamics.linearize, nlpflow.integrate.step_stiff
+
+    def stepped(*args, **kwargs):
+        stepping[0] = True
+        try:
+            return step_stiff(*args, **kwargs)
+        finally:
+            stepping[0] = False
 
     def recorded(*args):
         factor = linearize(*args)
 
-        def logged(sigma, dense):
-            if dense is not nlpflow.integrate.lu_factor:
+        def logged(sigma):
+            if not stepping[0]:
                 sigmas.append(sigma)
-            return factor(sigma, dense)
+            return factor(sigma)
 
         return logged
 
+    monkeypatch.setattr(nlpflow.integrate, "step_stiff", stepped)
     monkeypatch.setattr(nlpflow.dynamics, "linearize", recorded)
     return sigmas
 
@@ -417,8 +425,8 @@ class TestSolve:
     def test_settled_solves_run_no_lp(self):
         # the feasibility LP is a verdict for a working set that cannot settle,
         # so solves that always settle never call it nor import scipy.optimize;
-        # an rk45 example1 solve (Grams of at most 3 rows) loads no scipy at all,
-        # and the stiff chain still converges once its LU is imported on first use
+        # an example1 solve (no band) loads no scipy at all under either stepper,
+        # and the stiff chain still converges once its banded LU is imported
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -434,20 +442,22 @@ class TestSolve:
                 return lp(*args, **kwargs)
 
             nlpflow.dynamics.feasibility_lp = counted
-            ex1 = solve(builtin("example1"), np.array([-4.8578, 3.8180, -2.7364]),
-                        GainSet.uniform(3, 2, 5), integrator=IntegratorConfig(t_end=300.0),
-                        pts_groups=[(0, 1, 2), (3, 4)])
-            print(any(name.split(".")[0] == "scipy" for name in sys.modules))
+            for method in ("rk45", "stiff"):
+                ex1 = solve(builtin("example1"), np.array([-4.8578, 3.8180, -2.7364]),
+                            GainSet.uniform(3, 2, 5),
+                            integrator=IntegratorConfig(method=method, t_end=300.0),
+                            pts_groups=[(0, 1, 2), (3, 4)])
+                print(ex1.verdict, any(name.split(".")[0] == "scipy" for name in sys.modules))
             n = 10
             chain = solve(builtin("example2", size=n), np.linspace(2.0, 0.8, n),
                           GainSet.uniform(n, n - 1, 2 * n, k_theta=0.1, k_h=1.0, k_g=1.0),
                           integrator=IntegratorConfig(method="stiff", t_end=100.0))
-            print(ex1.verdict, chain.verdict, calls[0], "scipy.optimize" in sys.modules)
+            print(chain.verdict, calls[0], "scipy.optimize" in sys.modules)
             """)
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
-        assert out.split() == ["False", "converged", "converged", "0", "False"]
+        assert out.split() == ["converged", "False"] * 2 + ["converged", "0", "False"]
 
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, nlpflow, nlpflow.cli; "
@@ -687,11 +697,11 @@ def count_calls(monkeypatch, module, name):
 
 
 def record_linearizations(monkeypatch, calls):
-    """Wraps ``dynamics.linearize`` to count in ``calls`` its calls, the dense
-    systems its factors form and the ``calls["gram"]`` counts made while it
-    or one of its factors runs."""
+    """Wraps ``dynamics.linearize`` to count in ``calls`` its calls and the
+    ``calls["gram"]`` counts made while it or one of its factors runs, and
+    ``dynamics.lu_factor`` to count the dense systems its factors form."""
     calls.update(linearize=0, dense=0, grams_in_linearizations=0, gram=calls.get("gram", 0))
-    linearize = nlpflow.dynamics.linearize
+    linearize, lu_factor = nlpflow.dynamics.linearize, nlpflow.dynamics.lu_factor
 
     def counting_grams(fn, *args):
         before = calls["gram"]
@@ -699,16 +709,17 @@ def record_linearizations(monkeypatch, calls):
         calls["grams_in_linearizations"] += calls["gram"] - before
         return out
 
-    def counted_dense(dense, lhs):
+    def counted_dense(lhs):
         calls["dense"] += 1
-        return dense(lhs)
+        return lu_factor(lhs)
 
     def recorded(*args):
         calls["linearize"] += 1
         factor = counting_grams(linearize, *args)
-        return lambda sigma, dense: counting_grams(factor, sigma, partial(counted_dense, dense))
+        return lambda sigma: counting_grams(factor, sigma)
 
     monkeypatch.setattr(nlpflow.dynamics, "linearize", recorded)
+    monkeypatch.setattr(nlpflow.dynamics, "lu_factor", counted_dense)
     return calls
 
 
@@ -754,7 +765,6 @@ class TestStiffJacobian:
         # every stage and endgame system of a standard start is a certified
         # banded saddle-point solve: no system is formed densely or factored
         calls = record_linearizations(monkeypatch, {})
-        lu = count_calls(monkeypatch, nlpflow.integrate, "lu_factor")
         banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
         theta0 = np.random.default_rng(1).uniform(0.7, 1.2, n)
         theta0[0] = 2.0
@@ -762,7 +772,7 @@ class TestStiffJacobian:
         traj = solve(builtin("example2", size=n), theta0, gains,
                      integrator=IntegratorConfig(method="stiff", t_end=100.0))
         assert traj.verdict == "converged"
-        assert (calls["dense"], lu[0]) == (0, 0)
+        assert calls["dense"] == 0
         assert banded[0] >= traj.jacobian_count > 0
 
     def test_example1_factors_its_formed_jacobian(self, monkeypatch):
@@ -770,18 +780,18 @@ class TestStiffJacobian:
         # Gram's range and each stage matrix sigma I - J is 3 x 3, with no band
         calls = record_linearizations(monkeypatch, {})
         shapes = []
-        lu_factor = nlpflow.integrate.lu_factor
+        lu_factor = nlpflow.dynamics.lu_factor
 
         def recorded(a):
             shapes.append(a.shape)
             return lu_factor(a)
 
-        monkeypatch.setattr(nlpflow.integrate, "lu_factor", recorded)
+        monkeypatch.setattr(nlpflow.dynamics, "lu_factor", recorded)
         banded = count_calls(monkeypatch, nlpflow.dynamics, "banded_lu")
         traj = solve_example1(EX1_HARD_START, "stiff")
         assert traj.verdict == "converged"
         assert calls["linearize"] == traj.jacobian_count > 0
-        assert shapes and set(shapes) == {(3, 3)}
+        assert shapes and set(shapes) == {(3, 3)} and calls["dense"] == len(shapes)
         assert banded[0] == 0
 
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
@@ -958,7 +968,7 @@ class TestEndgame:
             factor = linearize(*args)
             if calls[0] > 1:
                 return factor
-            return lambda sigma, dense: factor(sigma - 1e12, dense)
+            return lambda sigma: factor(sigma - 1e12)
 
         monkeypatch.setattr(nlpflow.dynamics, "linearize", shifted)
         traj = solve_example1(EX1_HARD_START)
@@ -967,6 +977,34 @@ class TestEndgame:
         # the discarded iteration evaluated no point
         assert traj.rhs_eval_count == (6 * error_controlled_attempts(traj)
                                        + traj.endgame_steps + traj.endgame_fallbacks)
+
+    def test_exactly_singular_newton_matrix_falls_back(self, monkeypatch):
+        # on min |x|^2 under gains 0.1, J = -0.2 I exactly: the first endgame
+        # iteration, moved to sigma = -0.2, meets the zero matrix, whose solve
+        # fails, and falls back; the later iterations converge
+        linearize, moved = nlpflow.dynamics.linearize, []
+
+        def singular(*args):
+            factor = linearize(*args)
+
+            def iteration(sigma):
+                if moved:
+                    return factor(sigma)
+                moved.append(sigma)
+                solve = factor(-0.2)
+                with pytest.raises(NumericFailureError, match="singular"):
+                    solve(np.ones(2))
+                return solve
+            return iteration
+
+        problem, gains = parse_problem("var 2\nmin x1^2 + x2^2\n"), GainSet.uniform(2, 0, 0)
+        plain = solve(problem, np.array([1.0, -2.0]), gains)
+        monkeypatch.setattr(nlpflow.dynamics, "linearize", singular)
+        traj = solve(problem, np.array([1.0, -2.0]), gains)
+        assert len(moved) == 1
+        assert (plain.endgame_fallbacks, traj.endgame_fallbacks) == (0, 1)
+        assert plain.verdict == traj.verdict == "converged"
+        assert np.abs(traj.final.theta).max() <= 1e-6
 
     @pytest.mark.parametrize("method", ["rk45", "stiff"])
     def test_failing_curvature_oracle_is_fatal(self, method):
@@ -1035,9 +1073,9 @@ class TestEndgame:
         def linearized(*args):
             factor = linearize(*args)   # under rk45, only the endgame factors it
 
-            def iteration(sigma, dense):
+            def iteration(sigma):
                 attempts.append("endgame")
-                return factor(sigma, dense)
+                return factor(sigma)
             return iteration
 
         def integrated(*args, result, **kwargs):
@@ -1066,3 +1104,51 @@ class TestEndgame:
         assert (error_controlled_attempts(traj) + traj.endgame_steps
                 + traj.endgame_fallbacks) == budget
         assert (traj.endgame_steps > 0) == (budget > 1)
+
+
+# text, start, limit point, its tolerance, the multipliers' relative
+# tolerance and the settled working set of each degenerate case
+DEGENERATE = {
+    # no KKT multiplier exists at x1 = 0: the flow converges with one that
+    # grows past 1e8 (approximate KKT), and a MultiplierBoundWarning shows it
+    "x1^2 <= 0": ("var 1\nmin x1\nineq x1^2\n", [1.0], [0.0], 1e-9, 1e-2, (0,)),
+    "duplicated rows": ("var 2\nmin x1^2 + x2^2\nineq 1 - x1\nineq 2 - 2*x1\n", [2.0, 1.0],
+                        [1.0, 0.0], 1e-8, 1e-8, (1,)),
+    "zero multiplier": ("var 2\nmin x1^2 + x2^2\nineq -x1\n", [2.0, 1.0], [0.0, 0.0], 1e-8,
+                        1e-8, ()),
+}
+
+
+class TestDegenerateConstraints:
+    """Parsed problems whose constraints are not regular at the solution,
+    solved from one start under both steppers at gains 0.1 and 1."""
+
+    @pytest.mark.parametrize("case, k, method, evals, pi_i, bound_warnings", [
+        ("x1^2 <= 0", 0.1, "rk45", 45, [6.366e8], 1),
+        ("x1^2 <= 0", 0.1, "stiff", 64, [1.003e14], 2),
+        ("x1^2 <= 0", 1.0, "rk45", 32, [6.757e13], 2),
+        ("x1^2 <= 0", 1.0, "stiff", 47, [3.014e9], 1),
+        ("duplicated rows", 0.1, "rk45", 18, [0.0, 1.0], 0),
+        ("duplicated rows", 0.1, "stiff", 18, [0.0, 1.0], 0),
+        ("duplicated rows", 1.0, "rk45", 14, [0.0, 1.0], 0),
+        ("duplicated rows", 1.0, "stiff", 14, [0.0, 1.0], 0),
+        ("zero multiplier", 0.1, "rk45", 18, [0.0], 0),
+        ("zero multiplier", 0.1, "stiff", 18, [0.0], 0),
+        ("zero multiplier", 1.0, "rk45", 15, [0.0], 0),
+        ("zero multiplier", 1.0, "stiff", 15, [0.0], 0),
+    ])
+    def test_outcome(self, case, k, method, evals, pi_i, bound_warnings):
+        text, theta0, limit, theta_tol, pi_tol, working = DEGENERATE[case]
+        problem = parse_problem(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = solve(problem, np.array(theta0),
+                         GainSet.uniform(problem.n, 0, problem.r, k_theta=k, k_g=k),
+                         integrator=IntegratorConfig(method=method, t_end=100.0))
+        raised = [w.category for w in caught]
+        assert raised == [nlpflow.dynamics.MultiplierBoundWarning] * bound_warnings
+        final = traj.final
+        assert (traj.verdict, traj.rhs_eval_count, final.working) == ("converged", evals, working)
+        assert np.abs(final.theta - limit).max() <= theta_tol
+        assert final.pi_e.size == 0
+        assert np.abs(final.pi_i - pi_i).max() <= pi_tol * max(1.0, np.abs(pi_i).max())

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlpflow import builtin, linalg
-from nlpflow.errors import InvalidInputError
-from nlpflow.linalg import pinv_gram, pinv_psd, rank_cutoff
+from nlpflow.errors import InvalidInputError, NumericFailureError
+from nlpflow.linalg import lu_factor, pinv_gram, pinv_psd, rank_cutoff
 from nlpflow.problems import evaluate
 
 EPS = np.finfo(float).eps
@@ -157,7 +157,7 @@ class TestPinv:
         assert np.linalg.norm(sol - ref) <= bound
 
     def test_pinv_gram_branches(self, eigh_calls):
-        """Full-rank Grams are solved by Cholesky; rank-deficient ones by eigh."""
+        """Every formed Gram, full-rank or rank-deficient, is solved by one eigh."""
         n = 100
         chain = builtin("example2", size=n)
         theta = np.random.default_rng(0).uniform(0.7, 1.2, size=n)
@@ -167,7 +167,7 @@ class TestPinv:
         rhs = 0.1 * point.h_jac @ point.f_grad
         solve, rank = pinv_psd(gram)
         sol = solve(rhs)
-        assert eigh_calls[0] == 0
+        assert eigh_calls[0] == 1
         assert rank == n - 1
         assert np.linalg.norm(gram @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -176,36 +176,74 @@ class TestPinv:
         gram = 0.1 * point.h_jac @ point.h_jac.T
         solve, rank = pinv_psd(gram)
         sol = solve(np.array([1.0, 2.0]))
-        assert eigh_calls[0] == 1
+        assert eigh_calls[0] == 2
         assert rank == 1
         assert np.allclose(sol, svd_pinv(gram) @ [1.0, 2.0], rtol=1e-12)
 
     def test_pinv_gram_branch_boundary(self, eigh_calls):
-        """A full-rank 3-row Gram goes straight to eigh; from 4 rows Cholesky
-        solves it and eigh is never called."""
+        """Full-rank Grams of 3 and 4 rows are each solved by one eigh call."""
         rng = np.random.default_rng(10)
-        for m, expected in ((3, 1), (4, 0)):
+        for m in (3, 4):
             eigh_calls[0] = 0
             a = rng.standard_normal((m, m + 2))
             gram, rhs = a @ a.T, rng.standard_normal(m)
             solve, rank = pinv_psd(gram)
             sol = solve(rhs)
-            assert (rank, eigh_calls[0]) == (m, expected)
+            assert (rank, eigh_calls[0]) == (m, 1)
             ref = np.linalg.pinv(gram) @ rhs
             assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_pinv_gram_matrix_rhs(self, eigh_calls):
-        """A matrix right-hand side gives G+ @ rhs on both branches."""
+        """A matrix right-hand side gives G+ @ rhs, at full rank and below it."""
         rng = np.random.default_rng(9)
         a = rng.standard_normal((6, 8))
         rhs = rng.standard_normal((6, 5))
-        for gram, rank, expected in ((a @ a.T, 6, 0), (a[:, :4] @ a[:, :4].T, 4, 1)):
+        for gram, rank, expected in ((a @ a.T, 6, 1), (a[:, :4] @ a[:, :4].T, 4, 2)):
             solve, got = pinv_psd(gram)
             sol = solve(rhs)
             assert (got, eigh_calls[0]) == (rank, expected)
             ref = svd_pinv(gram) @ rhs
             assert sol.shape == ref.shape
             assert np.abs(sol - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [4, 19, 99])
+    def test_full_rank_chain_gram_matches_cholesky(self, m, eigh_calls):
+        """The chain's equality Grams under a gain that is not diagonal (so no
+        band) have full rank m on eigh and match a Cholesky solve."""
+        from scipy.linalg import cho_factor, cho_solve
+        n = m + 1
+        rng = np.random.default_rng(m)
+        theta = rng.uniform(0.7, 1.2, n)
+        theta[0] = 2.0
+        rows = evaluate(builtin("example2", size=n), theta).h_jac
+        off = 0.02 * np.ones(n - 1)
+        gain = 0.1 * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
+        solve, rank = pinv_gram(rows, gain)
+        ref_factor = cho_factor(rows @ gain @ rows.T)
+        assert (rank, eigh_calls[0]) == (m, 1)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            ref = cho_solve(ref_factor, rhs)
+            assert np.abs(solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLuFactor:
+    """``lu_factor``, the dense solve of the stiff stages and the endgame."""
+
+    def test_equals_numpy_solve_bitwise(self):
+        rng = np.random.default_rng(14)
+        for m in (1, 3, 20):
+            a = rng.standard_normal((m, m)) + m * np.eye(m)
+            solve = lu_factor(a)
+            for v in (rng.standard_normal(m), rng.standard_normal((m, 4))):
+                assert np.array_equal(solve(v), np.linalg.solve(a, v))
+
+    @pytest.mark.parametrize("case", ["exactly singular", "nan", "inf"])
+    def test_failure_is_a_numeric_failure(self, case):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]]) if case == "exactly singular" else np.eye(2)
+        if case != "exactly singular":
+            a[0, 1] = math.nan if case == "nan" else math.inf
+        with pytest.raises(NumericFailureError):
+            lu_factor(a)(np.ones(2))
 
 
 def projector_col(a):
